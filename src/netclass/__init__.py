@@ -44,7 +44,6 @@ from .graph import (
     Graph,
     GraphInputError,
     adjacency_matrix,
-    bibliographic_coupling,
     cocitation,
     degree_vector,
     from_edge_list,
@@ -65,7 +64,7 @@ from .metrics import (
     metric_histogram,
     structural_features,
 )
-from .ordering import NodeRanking, node_ranking, sorted_adjacency
+from .ordering import node_ranking, sorted_adjacency
 
 __version__ = "0.1.0"
 
@@ -79,7 +78,6 @@ __all__ = [
     "GraphInputError",
     "InvalidSpecError",
     "LabeledDataset",
-    "NodeRanking",
     "UndefinedMetricError",
     "adjacency_matrix",
     "all_pairs_distances",
@@ -87,7 +85,6 @@ __all__ = [
     "auc_ovr",
     "avg_neighbor_degree",
     "betweenness",
-    "bibliographic_coupling",
     "clbp_features",
     "closeness",
     "clustering",

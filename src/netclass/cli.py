@@ -35,7 +35,7 @@ from .generators import (
     read_manifest,
     write_manifest,
 )
-from .graph import read_edge_list, write_edge_list
+from .graph import adjacency_matrix, read_edge_list, write_edge_list
 from .metrics import METRIC_ORDER, structural_features
 from .ordering import sorted_adjacency
 
@@ -82,14 +82,12 @@ def _feature_row(task):
     try:
         if kind == "structural":
             values = structural_features(g, which)
+        elif kind == "projection":
+            values = projection(adjacency_matrix(g))
+        elif kind == "clbp":
+            values = clbp_features(sorted_adjacency(g))
         else:
-            aprime = sorted_adjacency(g)
-            if kind == "projection":
-                values = projection(aprime)
-            elif kind == "clbp":
-                values = clbp_features(aprime)
-            else:
-                values = hu_moments(aprime)
+            values = hu_moments(sorted_adjacency(g))
     except ValueError as exc:
         raise FeatureError(f"{path}: {exc}") from None
     return values.tolist()

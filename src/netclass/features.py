@@ -5,8 +5,10 @@ A sorted 0/1 matrix is treated as a binary image: row index is y (downward),
 column index is x (rightward), origin at the top left.  Three descriptors
 are provided:
 
-* ``projection``: column sums zero-padded to a fixed length (2500); on a
-  degree-sorted matrix this is exactly the descending degree sequence.
+* ``projection``: column sums in descending order, zero-padded to a fixed
+  length (2500).  This is the descending degree sequence, the same vector
+  the column sums of a degree-sorted matrix give, so it needs no ranking:
+  pass the unsorted adjacency matrix.
 * ``clbp_features``: completed local binary patterns over 3x3 windows,
   combining the sign, magnitude and center components into one joint
   rotation-invariant histogram of 200 bins.
@@ -27,7 +29,8 @@ class FeatureError(ValueError):
 
 
 def projection(aprime: np.ndarray, length: int = PROJECTION_LENGTH) -> np.ndarray:
-    """Column sums of the matrix, zero-padded on the right to ``length``."""
+    """Column sums of the matrix in descending order, zero-padded on the
+    right to ``length``.  Any row/column permutation gives the same vector."""
     m = np.asarray(aprime)
     size = m.shape[1]
     if size > length:
@@ -36,7 +39,7 @@ def projection(aprime: np.ndarray, length: int = PROJECTION_LENGTH) -> np.ndarra
             f"pass a larger length"
         )
     out = np.zeros(length, dtype=np.float64)
-    out[:size] = m.sum(axis=0)
+    out[:size] = np.sort(m.sum(axis=0))[::-1]
     return out
 
 

@@ -407,7 +407,8 @@ def read_manifest(path):
     """Parse a manifest into ``(file path, label, GenSpec)`` triples.
 
     File paths are returned as written (typically relative to the manifest's
-    directory; resolution is the caller's concern).
+    directory; resolution is the caller's concern).  Malformed numbers and
+    rejected specs raise :class:`InvalidSpecError` naming the file and line.
     """
     triples = []
     with open(path, encoding="utf-8") as fh:
@@ -422,13 +423,16 @@ def read_manifest(path):
             if len(parts) != 8:
                 raise InvalidSpecError(f"{path}:{lineno}: expected 8 fields")
             fpath, label, model, n, k, alpha, beta, seed = parts
-            spec = GenSpec(
-                model,
-                int(n),
-                int(k),
-                alpha=None if alpha == "" else float(alpha),
-                beta=float(beta),
-                seed=int(seed),
-            )
+            try:
+                spec = GenSpec(
+                    model,
+                    int(n),
+                    int(k),
+                    alpha=None if alpha == "" else float(alpha),
+                    beta=float(beta),
+                    seed=int(seed),
+                )
+            except ValueError as exc:
+                raise InvalidSpecError(f"{path}:{lineno}: {exc}") from None
             triples.append((fpath, label, spec))
     return triples

@@ -102,17 +102,11 @@ def cocitation(g: Graph) -> np.ndarray:
 
     Entry ``(i, j)`` counts common neighbors of ``i`` and ``j``; the diagonal
     holds node degrees.  Mostly of interest for directed networks, where it
-    symmetrizes the structure; for the undirected graphs here it equals
-    :func:`bibliographic_coupling`.
+    symmetrizes the structure; for the undirected graphs here it is symmetric
+    and equals bibliographic coupling ``A.T @ A``.
     """
     a = adjacency_matrix(g).astype(np.int64)
     return a @ a.T
-
-
-def bibliographic_coupling(g: Graph) -> np.ndarray:
-    """Shared-target counts ``A.T @ A`` over the integers."""
-    a = adjacency_matrix(g).astype(np.int64)
-    return a.T @ a
 
 
 _N_DIRECTIVE = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")

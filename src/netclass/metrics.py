@@ -13,6 +13,8 @@ vectors from graphs of different sizes stay comparable.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .graph import Graph, adjacency_matrix, degree_vector
@@ -47,14 +49,16 @@ METRIC_ORDER = ("pp", "d", "cl", "ecc", "bet", "k", "cc")
 # Diameter enters feature vectors as a single raw value divided by this.
 _DIAMETER_SCALE = 100.0
 
+# Largest integer float64 holds exactly; shortest-path counts above it round.
+_EXACT_COUNT_LIMIT = 2.0**53
+
 
 def _bfs_all(a: np.ndarray):
     """Level-synchronous BFS from every source at once.
 
-    ``a`` is the dense float adjacency matrix.  Returns ``(dist, sigma,
-    frontiers)`` where ``dist[s, v]`` is the hop distance (-1 if
-    unreachable), ``sigma[s, v]`` the number of shortest s-v paths, and
-    ``frontiers[l]`` the boolean matrix of nodes at distance l.
+    ``a`` is the dense float adjacency matrix.  Returns ``(dist, sigma)``
+    where ``dist[s, v]`` is the hop distance (-1 if unreachable) and
+    ``sigma[s, v]`` the number of shortest s-v paths.
     """
     n = a.shape[0]
     dist = np.full((n, n), -1, dtype=np.int32)
@@ -62,7 +66,6 @@ def _bfs_all(a: np.ndarray):
     sigma = np.zeros((n, n))
     np.fill_diagonal(sigma, 1.0)
     frontier = np.eye(n, dtype=bool)
-    frontiers = [frontier]
     level = 0
     while True:
         counts = (sigma * frontier) @ a
@@ -73,26 +76,34 @@ def _bfs_all(a: np.ndarray):
         dist[newly] = level
         sigma[newly] = counts[newly]
         frontier = newly
-        frontiers.append(frontier)
-    return dist, sigma, frontiers
+    return dist, sigma
 
 
-def _betweenness_from(dist, sigma, frontiers, a):
-    """Backward dependency accumulation over the stored BFS levels.
+def _betweenness_from(dist, sigma, a):
+    """Backward dependency accumulation over the BFS levels in ``dist``.
 
     Unnormalized betweenness over unordered node pairs, endpoints excluded:
     the column sums of the per-source dependencies, halved because each pair
-    is reached from both endpoints.
+    is reached from both endpoints.  Warns when a path count exceeds 2**53,
+    past which float64 no longer holds it exactly.
     """
     n = a.shape[0]
+    peak = sigma.max(initial=0.0)
+    if peak > _EXACT_COUNT_LIMIT:
+        warnings.warn(
+            f"shortest-path counts reach {peak:.3g} on a graph with "
+            f"n={n}, past 2**53; betweenness is no longer exact",
+            UserWarning,
+            stacklevel=3,
+        )
     delta = np.zeros((n, n))
     inv_sigma = np.zeros_like(sigma)
     reached = dist >= 0
     inv_sigma[reached] = 1.0 / sigma[reached]
-    for lev in range(len(frontiers) - 1, 0, -1):
-        coef = np.where(frontiers[lev], (1.0 + delta) * inv_sigma, 0.0)
+    for lev in range(int(dist.max(initial=0)), 0, -1):
+        coef = np.where(dist == lev, (1.0 + delta) * inv_sigma, 0.0)
         contrib = coef @ a  # a is symmetric
-        delta += np.where(frontiers[lev - 1], sigma * contrib, 0.0)
+        delta += np.where(dist == lev - 1, sigma * contrib, 0.0)
     return (delta.sum(axis=0) - np.diag(delta)) / 2.0
 
 
@@ -102,7 +113,7 @@ def _dense(g: Graph) -> np.ndarray:
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Hop distances between all node pairs; unreachable pairs are +inf."""
-    dist, _, _ = _bfs_all(_dense(g))
+    dist, _ = _bfs_all(_dense(g))
     out = dist.astype(np.float64)
     out[dist < 0] = np.inf
     return out
@@ -115,14 +126,14 @@ def _require_connected(dist: np.ndarray, what: str) -> None:
 
 def diameter(g: Graph) -> int:
     """Largest shortest-path distance over all pairs; requires connectivity."""
-    dist, _, _ = _bfs_all(_dense(g))
+    dist, _ = _bfs_all(_dense(g))
     _require_connected(dist, "diameter")
     return int(dist.max())
 
 
 def eccentricity(g: Graph) -> np.ndarray:
     """Per-node maximum distance to any other node; requires connectivity."""
-    dist, _, _ = _bfs_all(_dense(g))
+    dist, _ = _bfs_all(_dense(g))
     _require_connected(dist, "eccentricity")
     return dist.max(axis=1).astype(np.int64)
 
@@ -134,7 +145,7 @@ def closeness(g: Graph) -> np.ndarray:
     (0, 1].  On a disconnected graph the sum runs over the reachable nodes
     only, scaled by their count minus one; isolated nodes score 0.
     """
-    dist, _, _ = _bfs_all(_dense(g))
+    dist, _ = _bfs_all(_dense(g))
     return _closeness_from(dist)
 
 
@@ -153,14 +164,16 @@ def _ecc_finite(dist: np.ndarray) -> np.ndarray:
 def betweenness(g: Graph) -> np.ndarray:
     """Brandes-style betweenness, unnormalized, over unordered pairs.
 
-    Shortest-path counts are exact integers carried in float64; dependency
-    sums are accumulated in a fixed order, so the output is a deterministic
-    function of the graph.  Disconnected graphs are fine: pairs in different
-    components simply contribute nothing.
+    Shortest-path counts are integers carried in float64, exact up to 2**53;
+    above that they round, and a ``UserWarning`` names the graph size and the
+    largest count (a 30x30 grid already reaches about 3e16 paths).
+    Dependency sums are accumulated in a fixed order, so the output is a
+    deterministic function of the graph.  Disconnected graphs are fine:
+    pairs in different components simply contribute nothing.
     """
     a = _dense(g)
-    dist, sigma, frontiers = _bfs_all(a)
-    return _betweenness_from(dist, sigma, frontiers, a)
+    dist, sigma = _bfs_all(a)
+    return _betweenness_from(dist, sigma, a)
 
 
 def clustering(g: Graph) -> np.ndarray:
@@ -251,11 +264,10 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
         if not sel:
             raise ValueError("empty metric selection")
     n = g.n
-    dist = sigma = frontiers = None
-    a = None
+    dist = sigma = a = None
     if sel & {"d", "cl", "ecc", "bet"}:
         a = _dense(g)
-        dist, sigma, frontiers = _bfs_all(a)
+        dist, sigma = _bfs_all(a)
     parts = []
     for mid in METRIC_ORDER:
         if mid not in sel:
@@ -270,7 +282,7 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
         elif mid == "ecc":
             parts.append(metric_histogram(_ecc_finite(dist), "ecc"))
         elif mid == "bet":
-            bet = _betweenness_from(dist, sigma, frontiers, a)
+            bet = _betweenness_from(dist, sigma, a)
             pairs = (n - 1) * (n - 2) / 2.0
             parts.append(metric_histogram(bet / pairs if pairs > 0 else bet, "bet"))
         elif mid == "k":

@@ -244,7 +244,7 @@ def test_criterion_6_metric_oracles():
         n = int(rng.integers(2, 13))
         g = oracles.random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
         sigma_expected = oracles.sigma_matrix(g)
-        _, sigma, _ = _bfs_all(_dense(g))
+        _, sigma = _bfs_all(_dense(g))
         reached = sigma_expected > 0
         assert np.array_equal(sigma[reached], sigma_expected[reached].astype(float))
         assert (sigma[~reached] == 0).all()

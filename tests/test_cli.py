@@ -107,6 +107,32 @@ def test_features_parallel_matches_serial(smoke_dataset, tmp_path, capsys):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_projection_features_skip_ranking(smoke_dataset, tmp_path, capsys, monkeypatch):
+    from netclass import ordering, read_edge_list
+    from netclass.features import projection, write_feature_csv
+    from netclass.generators import read_manifest
+
+    # the first four graphs of the smoke set, by absolute path
+    header, *rows = (smoke_dataset / "manifest.csv").read_text().splitlines()[:5]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join([header] + [f"{smoke_dataset}/{row}" for row in rows]) + "\n")
+    triples = read_manifest(manifest)
+    expected = tmp_path / "expected.csv"
+    write_feature_csv(expected, [label for _, label, _ in triples],
+                      np.array([projection(ordering.sorted_adjacency(read_edge_list(path)))
+                                for path, _, _ in triples]))
+
+    def no_ranking(g):
+        raise AssertionError("projection must not rank nodes")
+
+    monkeypatch.setattr(ordering, "node_ranking", no_ranking)
+    csv = tmp_path / "proj.csv"
+    code, _, err = run(capsys, "features", "--manifest", str(manifest),
+                       "--extractor", "projection", "--out", str(csv))
+    assert code == 0, err
+    assert csv.read_bytes() == expected.read_bytes()
+
+
 def test_structural_feature_widths(smoke_dataset, tmp_path, capsys):
     csv = tmp_path / "st.csv"
     run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),

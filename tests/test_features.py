@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from netclass import (
     FeatureError,
+    adjacency_matrix,
     clbp_features,
     degree_vector,
     from_edge_list,
@@ -50,10 +51,10 @@ def test_projection_is_sorted_degree_sequence():
     rng = np.random.default_rng(4)
     for _ in range(15):
         g = oracles.random_graph(rng, int(rng.integers(1, 30)), 0.2)
-        v = projection(sorted_adjacency(g))
         expected = np.zeros(2500)
         expected[: g.n] = sorted(degree_vector(g), reverse=True)
-        assert np.array_equal(v, expected)
+        assert np.array_equal(projection(sorted_adjacency(g)), expected)
+        assert np.array_equal(projection(adjacency_matrix(g)), expected)
 
 
 def test_projection_size_cap():

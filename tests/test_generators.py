@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,3 +229,20 @@ def test_manifest_round_trip(tmp_path):
         assert fpath == path
         assert label == row.label
         assert spec == row.spec
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (3, "five", "invalid literal for int"),  # n
+    (2, "XX", "unknown model 'XX'"),
+])
+def test_manifest_errors_name_the_line(tmp_path, field, value, message):
+    rows = preset_rows("synthetic-desk", 7, count_override=1)
+    mpath = tmp_path / "manifest.csv"
+    write_manifest(rows, [r.filename() for r in rows], mpath)
+    lines = mpath.read_text().splitlines()
+    parts = lines[3].split(",")
+    parts[field] = value
+    lines[3] = ",".join(parts)
+    mpath.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(f'{mpath}:4: {message}')}"):
+        read_manifest(mpath)

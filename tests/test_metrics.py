@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,10 +125,26 @@ def test_sigma_counts_are_integer_exact():
     rng = np.random.default_rng(11)
     for _ in range(20):
         g = oracles.random_graph(rng, int(rng.integers(2, 13)), 0.4)
-        _, sigma, _ = _bfs_all(_dense(g))
+        _, sigma = _bfs_all(_dense(g))
         expected = oracles.sigma_matrix(g)
         reachable = expected > 0
         assert np.array_equal(sigma[reachable], expected[reachable].astype(float))
+
+
+def _grid(side):
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return from_edge_list(side * side, edges)
+
+
+def test_path_counts_past_2_53_warn():
+    # corner-to-corner counts on a side x side grid are C(2 side - 2, side - 1):
+    # 7.7e15 at side 29, 3.0e16 at side 30, with 2**53 ~ 9.0e15 in between
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        betweenness(_grid(29))
+    with pytest.warns(UserWarning, match=r"n=900.*2\*\*53"):
+        betweenness(_grid(30))
 
 
 # ---------------------------------------------------------------------------

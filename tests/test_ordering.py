@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import oracles
 from netclass import (
     adjacency_matrix,
+    betweenness,
     degree_vector,
     from_edge_list,
     node_ranking,
@@ -14,8 +15,9 @@ from netclass import (
 
 def test_star_center_ranks_first():
     g = from_edge_list(5, [(0, 2), (1, 2), (2, 3), (2, 4)])
-    r = node_ranking(g)
-    assert r.permutation[0] == 2
+    perm = node_ranking(g)
+    assert perm.dtype == np.int64
+    assert perm[0] == 2
     assert sorted_adjacency(g)[0].tolist() == [0, 1, 1, 1, 1]
 
 
@@ -23,9 +25,9 @@ def test_p4_middles_precede_leaves():
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     bet = oracles.brute_betweenness(g)
     assert bet.tolist() == [0.0, 2.0, 2.0, 0.0]
-    r = node_ranking(g)
-    assert set(r.permutation[:2]) == {1, 2}  # degree 2, betweenness 2
-    assert set(r.permutation[2:]) == {0, 3}
+    perm = node_ranking(g)
+    assert set(perm[:2].tolist()) == {1, 2}  # degree 2, betweenness 2
+    assert set(perm[2:].tolist()) == {0, 3}
 
 
 def test_complete_graph_order_is_harmless():
@@ -49,18 +51,17 @@ def test_row_sums_are_sorted_degrees():
 def test_ranking_keys_non_increasing():
     rng = np.random.default_rng(6)
     g = oracles.random_graph(rng, 15, 0.3)
-    r = node_ranking(g)
-    keys = [
-        (r.degrees[i], round(r.betweenness[i], 6)) for i in r.permutation
-    ]
+    deg = degree_vector(g)
+    bet = np.round(betweenness(g), 6)
+    keys = [(deg[i], bet[i]) for i in node_ranking(g)]
     assert all(keys[t] >= keys[t + 1] for t in range(len(keys) - 1))
 
 
 def test_permutation_is_bijection():
     rng = np.random.default_rng(7)
     g = oracles.random_graph(rng, 12, 0.4)
-    perm = node_ranking(g).permutation
-    assert sorted(perm) == list(range(12))
+    perm = node_ranking(g)
+    assert sorted(perm.tolist()) == list(range(12))
 
 
 def test_cospectral_with_original():
