@@ -5,13 +5,18 @@ Generates both desk presets, extracts each descriptor, cross-validates with
 1-NN and linear SVM, and prints one `mean (std)` cell per combination, plus
 the confusion matrix of the headline runs.  Everything goes through the same
 CLI code paths a user would call, so the artifacts (edge lists, manifests,
-feature CSVs, report JSONs) are left under --workdir for inspection.
+feature CSVs, report JSONs) are left under --workdir for inspection.  The
+run ends with the SHA-256 of each artifact group and one combined digest, so
+two runs (say, of two commits or two NETCLASS_THREADS settings) compare with
+one diff of their last lines.
 
-Expect roughly 5-10 minutes single-threaded; set NETCLASS_THREADS to spread
-feature extraction over cores.
+Expect about 2.5 minutes single-threaded on a 2-vCPU host with one BLAS
+thread; set NETCLASS_THREADS to spread feature extraction over cores (about
+1.5 minutes with 2).
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -28,6 +33,28 @@ EXPERIMENTS = [
     ("scalefree-desk", "hu", "knn"),
     ("scalefree-desk", "clbp", "knn"),
 ]
+
+
+def artifact_digests(work: Path) -> dict[str, tuple[int, str]]:
+    """``{group: (file count, SHA-256)}`` of the artifacts under ``work``.
+
+    A group's digest hashes one ``<relative path> <file SHA-256>`` line per
+    file, in path order.
+    """
+    groups = {
+        "edge lists": work.glob("*/*.edges"),
+        "manifests": work.glob("*/manifest.csv"),
+        "feature CSVs": work.glob("*.csv"),
+        "reports": work.glob("*.json"),
+    }
+    out = {}
+    for name, paths in groups.items():
+        h = hashlib.sha256()
+        files = sorted(p.relative_to(work).as_posix() for p in paths)
+        for rel in files:
+            h.update(f"{rel} {hashlib.sha256((work / rel).read_bytes()).hexdigest()}\n".encode())
+        out[name] = (len(files), h.hexdigest())
+    return out
 
 
 def run(args):
@@ -69,6 +96,13 @@ def run(args):
         auc = doc["auc"]["macro"]
         auc_text = f"{auc:.4f}" if auc is not None else "-"
         print(f"{preset:<16} {extractor:<22} {classifier:<4} {cell:<16} {auc_text}")
+
+    print()
+    combined = hashlib.sha256()
+    for name, (count, digest) in artifact_digests(work).items():
+        print(f"sha256 {name:<13} {count:>4} files  {digest}")
+        combined.update(f"{name} {count} {digest}\n".encode())
+    print(f"sha256 {'combined':<13} {'':>4}        {combined.hexdigest()}")
     return 0
 
 

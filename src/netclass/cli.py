@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .generators import (
     read_manifest,
     write_manifest,
 )
-from .graph import adjacency_matrix, read_edge_list, write_edge_list
+from .graph import degree_vector, read_edge_list, write_edge_list
 from .metrics import METRIC_ORDER, structural_features
 from .ordering import sorted_adjacency
 
@@ -79,17 +80,23 @@ def parse_extractor(text: str):
 def _feature_row(task):
     path, kind, which = task
     g = read_edge_list(path)
-    try:
-        if kind == "structural":
-            values = structural_features(g, which)
-        elif kind == "projection":
-            values = projection(adjacency_matrix(g))
-        elif kind == "clbp":
-            values = clbp_features(sorted_adjacency(g))
-        else:
-            values = hu_moments(sorted_adjacency(g))
-    except ValueError as exc:
-        raise FeatureError(f"{path}: {exc}") from None
+    # Warnings (such as inexact path counts) are re-issued naming the file.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if kind == "structural":
+                values = structural_features(g, which)
+            elif kind == "projection":
+                # a 1 x n matrix whose column sums are the degrees
+                values = projection(degree_vector(g)[np.newaxis])
+            elif kind == "clbp":
+                values = clbp_features(sorted_adjacency(g))
+            else:
+                values = hu_moments(sorted_adjacency(g))
+        except ValueError as exc:
+            raise FeatureError(f"{path}: {exc}") from None
+    for w in caught:
+        warnings.warn(f"{path}: {w.message}", w.category)
     return values.tolist()
 
 

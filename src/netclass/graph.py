@@ -7,6 +7,7 @@ safe to share across workers; anything that needs mutation builds a new graph.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -95,6 +96,20 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 def degree_vector(g: Graph) -> np.ndarray:
     """Per-node degree; the sum equals twice the edge count."""
     return np.array([len(nbrs) for nbrs in g.adj], dtype=np.int64)
+
+
+def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Compressed sparse row form of the adjacency: ``(indptr, indices)``.
+
+    The neighbors of node ``i`` are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending; ``indptr`` is int64 of length ``n + 1`` and ``indices`` int32.
+    """
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(degree_vector(g), out=indptr[1:])
+    indices = np.fromiter(
+        itertools.chain.from_iterable(g.adj), dtype=np.int32, count=int(indptr[-1])
+    )
+    return indptr, indices
 
 
 def cocitation(g: Graph) -> np.ndarray:

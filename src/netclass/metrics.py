@@ -2,9 +2,12 @@
 
 The shortest-path metrics (distances, diameter, closeness, eccentricity,
 betweenness) all share one level-synchronous BFS kernel that runs every
-source simultaneously with dense matrix products.  That keeps the per-source
-work in BLAS, makes the reduction order deterministic, and lets betweenness
-reuse the forward pass.
+source simultaneously.  Each BFS level, in the forward pass and in the
+betweenness backward pass, picks its own method from its edge work: a narrow
+level expands its (source, node) pairs over the graph's neighbor arrays, a
+wide one runs a dense n x n matrix product (the direction-optimizing idea of
+Beamer et al., SC 2012).  Both methods sum in a fixed order, so results are a
+deterministic function of the graph, and betweenness reuses the forward pass.
 
 Per-node metric vectors are turned into fixed-length feature vectors by
 histogramming over a fixed per-metric range with 500 equal-width bins, so
@@ -17,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, degree_vector
+from .graph import Graph, adjacency_matrix, degree_vector, neighbor_arrays
 
 
 class DisconnectedGraphError(ValueError):
@@ -52,42 +55,96 @@ _DIAMETER_SCALE = 100.0
 # Largest integer float64 holds exactly; shortest-path counts above it round.
 _EXACT_COUNT_LIMIT = 2.0**53
 
+# A BFS level whose edge work (the summed degree of its pairs' nodes) is
+# below n**3 / _SPARSE_RATIO expands its pairs over the neighbor arrays; a
+# wider level runs one dense n x n product.  Break-even, measured with one
+# OpenBLAS thread on a 2-vCPU host: one expanded pair-edge costs about as much
+# as 500 multiply-adds of the product.  Kernel time over the benchmark's
+# deep (WS/GEO n=500) and scale-free (BA/DM n=1000) graphs of two seeds was
+# flat within 3% from 350 to 700, 1-9% slower at 250 and 9-45% slower at 1000.
+_SPARSE_RATIO = 500
 
-def _bfs_all(a: np.ndarray):
-    """Level-synchronous BFS from every source at once.
 
-    ``a`` is the dense float adjacency matrix.  Returns ``(dist, sigma)``
-    where ``dist[s, v]`` is the hop distance (-1 if unreachable) and
-    ``sigma[s, v]`` the number of shortest s-v paths.
+def _expand(pairs, weights, k, n, indptr, indices):
+    """Sum each (source, node) pair's weight onto the node's neighbors.
+
+    ``pairs`` are flat indices ``s * n + v`` and ``k`` the degree of each
+    pair's node.  Returns the flat n * n float array whose entry ``s * n + u``
+    is the sum of ``weights[i]`` over the pairs ``s * n + v`` with u adjacent
+    to v, summed in pair order.
     """
-    n = a.shape[0]
-    dist = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    sigma = np.zeros((n, n))
-    np.fill_diagonal(sigma, 1.0)
-    frontier = np.eye(n, dtype=bool)
-    level = 0
+    v = pairs % n
+    pos = np.repeat(indptr[v] - (np.cumsum(k) - k), k)
+    pos += np.arange(pos.size)
+    nbrs = indices[pos]
+    del pos
+    targets = np.repeat(pairs - v, k)
+    targets += nbrs
+    del nbrs
+    return np.bincount(targets, weights=np.repeat(weights, k), minlength=n * n)
+
+
+def _shortest_paths(g: Graph, with_betweenness: bool = False):
+    """Level-synchronous BFS from every source at once, then optionally the
+    Brandes backward pass.
+
+    Returns ``(dist, sigma, bet)``: ``dist[s, v]`` is the hop distance (-1 if
+    unreachable), ``sigma[s, v]`` the number of shortest s-v paths, and
+    ``bet`` the unnormalized betweenness over unordered node pairs, endpoints
+    excluded (None unless ``with_betweenness``).  ``bet`` is the column sums
+    of the per-source dependencies, halved because each pair is reached from
+    both endpoints.  Warns when a path count exceeds 2**53, past which
+    float64 no longer holds it exactly.
+
+    Both passes move one level at a time over the (source, node) pairs at
+    that distance, held as flat indices ``s * n + v``, and each level picks
+    its own method by its edge work (see ``_SPARSE_RATIO``).
+    """
+    n = g.n
+    indptr, indices = neighbor_arrays(g)
+    deg = np.diff(indptr)
+    dense = None
+
+    def spread(pairs, weights):
+        # What _expand returns, from the expansion or from one dense product.
+        nonlocal dense
+        k = deg[pairs % n]
+        if k.sum() >= n**3 / _SPARSE_RATIO:
+            del k
+            if dense is None:
+                dense = adjacency_matrix(g).astype(np.float64)
+            m = np.zeros(n * n)
+            m[pairs] = weights
+            return (m.reshape(n, n) @ dense).ravel()
+        # Runs of about n*n/2 pair-edges keep the temporaries of the
+        # expansion within one dense matrix.
+        step = max(n * n // 2, 1)
+        ends = np.cumsum(k)
+        cuts = [0, *np.searchsorted(ends, np.arange(step, ends[-1], step)), pairs.size]
+        del ends
+        out = _expand(pairs[: cuts[1]], weights[: cuts[1]], k[: cuts[1]], n, indptr, indices)
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            out += _expand(pairs[lo:hi], weights[lo:hi], k[lo:hi], n, indptr, indices)
+        return out
+
+    dist = np.full(n * n, -1, dtype=np.int32)
+    sigma = np.zeros(n * n)
+    frontier = np.arange(n) * (n + 1)  # each source at distance 0
+    dist[frontier] = 0
+    sigma[frontier] = 1.0
+    depth = 0
     while True:
-        counts = (sigma * frontier) @ a
-        newly = (counts > 0) & (dist < 0)
-        if not newly.any():
+        counts = spread(frontier, sigma[frontier])
+        frontier = np.flatnonzero((counts > 0) & (dist < 0))
+        if not frontier.size:
             break
-        level += 1
-        dist[newly] = level
-        sigma[newly] = counts[newly]
-        frontier = newly
-    return dist, sigma
+        depth += 1
+        dist[frontier] = depth
+        sigma[frontier] = counts[frontier]
+    del counts
+    if not with_betweenness:
+        return dist.reshape(n, n), sigma.reshape(n, n), None
 
-
-def _betweenness_from(dist, sigma, a):
-    """Backward dependency accumulation over the BFS levels in ``dist``.
-
-    Unnormalized betweenness over unordered node pairs, endpoints excluded:
-    the column sums of the per-source dependencies, halved because each pair
-    is reached from both endpoints.  Warns when a path count exceeds 2**53,
-    past which float64 no longer holds it exactly.
-    """
-    n = a.shape[0]
     peak = sigma.max(initial=0.0)
     if peak > _EXACT_COUNT_LIMIT:
         warnings.warn(
@@ -96,15 +153,17 @@ def _betweenness_from(dist, sigma, a):
             UserWarning,
             stacklevel=3,
         )
-    delta = np.zeros((n, n))
-    inv_sigma = np.zeros_like(sigma)
-    reached = dist >= 0
-    inv_sigma[reached] = 1.0 / sigma[reached]
-    for lev in range(int(dist.max(initial=0)), 0, -1):
-        coef = np.where(dist == lev, (1.0 + delta) * inv_sigma, 0.0)
-        contrib = coef @ a  # a is symmetric
-        delta += np.where(dist == lev - 1, sigma * contrib, 0.0)
-    return (delta.sum(axis=0) - np.diag(delta)) / 2.0
+    # Dependencies are written one level at a time, deepest first: a pair's
+    # entry is final once the level above it has been spread back onto it.
+    delta = np.zeros(n * n)
+    level = np.flatnonzero(dist == depth)
+    for lev in range(depth, 0, -1):
+        contrib = spread(level, (1.0 + delta[level]) * (1.0 / sigma[level]))
+        level = np.flatnonzero(dist == lev - 1)
+        delta[level] = sigma[level] * contrib[level]
+    delta = delta.reshape(n, n)
+    bet = (delta.sum(axis=0) - np.diag(delta)) / 2.0
+    return dist.reshape(n, n), sigma.reshape(n, n), bet
 
 
 def _dense(g: Graph) -> np.ndarray:
@@ -113,7 +172,7 @@ def _dense(g: Graph) -> np.ndarray:
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Hop distances between all node pairs; unreachable pairs are +inf."""
-    dist, _ = _bfs_all(_dense(g))
+    dist, _, _ = _shortest_paths(g)
     out = dist.astype(np.float64)
     out[dist < 0] = np.inf
     return out
@@ -126,14 +185,14 @@ def _require_connected(dist: np.ndarray, what: str) -> None:
 
 def diameter(g: Graph) -> int:
     """Largest shortest-path distance over all pairs; requires connectivity."""
-    dist, _ = _bfs_all(_dense(g))
+    dist, _, _ = _shortest_paths(g)
     _require_connected(dist, "diameter")
     return int(dist.max())
 
 
 def eccentricity(g: Graph) -> np.ndarray:
     """Per-node maximum distance to any other node; requires connectivity."""
-    dist, _ = _bfs_all(_dense(g))
+    dist, _, _ = _shortest_paths(g)
     _require_connected(dist, "eccentricity")
     return dist.max(axis=1).astype(np.int64)
 
@@ -145,7 +204,7 @@ def closeness(g: Graph) -> np.ndarray:
     (0, 1].  On a disconnected graph the sum runs over the reachable nodes
     only, scaled by their count minus one; isolated nodes score 0.
     """
-    dist, _ = _bfs_all(_dense(g))
+    dist, _, _ = _shortest_paths(g)
     return _closeness_from(dist)
 
 
@@ -171,9 +230,7 @@ def betweenness(g: Graph) -> np.ndarray:
     deterministic function of the graph.  Disconnected graphs are fine:
     pairs in different components simply contribute nothing.
     """
-    a = _dense(g)
-    dist, sigma = _bfs_all(a)
-    return _betweenness_from(dist, sigma, a)
+    return _shortest_paths(g, with_betweenness=True)[2]
 
 
 def clustering(g: Graph) -> np.ndarray:
@@ -264,10 +321,9 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
         if not sel:
             raise ValueError("empty metric selection")
     n = g.n
-    dist = sigma = a = None
+    dist = bet = None
     if sel & {"d", "cl", "ecc", "bet"}:
-        a = _dense(g)
-        dist, sigma = _bfs_all(a)
+        dist, _, bet = _shortest_paths(g, with_betweenness="bet" in sel)
     parts = []
     for mid in METRIC_ORDER:
         if mid not in sel:
@@ -282,7 +338,6 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
         elif mid == "ecc":
             parts.append(metric_histogram(_ecc_finite(dist), "ecc"))
         elif mid == "bet":
-            bet = _betweenness_from(dist, sigma, a)
             pairs = (n - 1) * (n - 2) / 2.0
             parts.append(metric_histogram(bet / pairs if pairs > 0 else bet, "bet"))
         elif mid == "k":

@@ -170,3 +170,12 @@ def random_graph(rng, n, p):
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return from_edge_list(n, edges)
+
+
+def grid_graph(side):
+    """``side`` x ``side`` square lattice; node ``r * side + c`` sits at (r, c)."""
+    from netclass import from_edge_list
+
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return from_edge_list(side * side, edges)

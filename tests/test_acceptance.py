@@ -27,7 +27,7 @@ from netclass import (
 )
 from netclass.cli import main
 from netclass.generators import GenSpec, dataset_seed
-from netclass.metrics import _bfs_all, _dense, betweenness, closeness, diameter, eccentricity
+from netclass.metrics import _shortest_paths, betweenness, closeness, diameter, eccentricity
 from netclass import DisconnectedGraphError, assortativity_scalar
 
 BASE_SEED = 7
@@ -244,7 +244,7 @@ def test_criterion_6_metric_oracles():
         n = int(rng.integers(2, 13))
         g = oracles.random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
         sigma_expected = oracles.sigma_matrix(g)
-        _, sigma = _bfs_all(_dense(g))
+        _, sigma, _ = _shortest_paths(g)
         reached = sigma_expected > 0
         assert np.array_equal(sigma[reached], sigma_expected[reached].astype(float))
         assert (sigma[~reached] == 0).all()

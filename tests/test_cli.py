@@ -108,7 +108,7 @@ def test_features_parallel_matches_serial(smoke_dataset, tmp_path, capsys):
 
 
 def test_projection_features_skip_ranking(smoke_dataset, tmp_path, capsys, monkeypatch):
-    from netclass import ordering, read_edge_list
+    from netclass import cli, graph, ordering, read_edge_list
     from netclass.features import projection, write_feature_csv
     from netclass.generators import read_manifest
 
@@ -125,12 +125,34 @@ def test_projection_features_skip_ranking(smoke_dataset, tmp_path, capsys, monke
     def no_ranking(g):
         raise AssertionError("projection must not rank nodes")
 
+    def no_dense(g):
+        raise AssertionError("projection must not build the dense matrix")
+
     monkeypatch.setattr(ordering, "node_ranking", no_ranking)
+    monkeypatch.setattr(cli, "adjacency_matrix", no_dense, raising=False)
+    monkeypatch.setattr(graph, "adjacency_matrix", no_dense)
     csv = tmp_path / "proj.csv"
     code, _, err = run(capsys, "features", "--manifest", str(manifest),
                        "--extractor", "projection", "--out", str(csv))
     assert code == 0, err
     assert csv.read_bytes() == expected.read_bytes()
+
+
+def test_features_warning_names_the_file(tmp_path, capsys):
+    from netclass import write_edge_list
+
+    # a 30x30 grid's corner-to-corner path count passes 2**53
+    write_edge_list(oracles.grid_graph(30), tmp_path / "grid30.edges")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,model,n,k_bar,alpha,beta,seed\n"
+                        "grid30.edges,grid,ER,900,4,,0.1,0\n")
+    with pytest.warns(UserWarning) as caught:
+        code, _, err = run(capsys, "features", "--manifest", str(manifest),
+                           "--extractor", "structural:bet", "--out", str(tmp_path / "f.csv"))
+    assert code == 0, err
+    [w] = caught
+    assert str(w.message).startswith(f"{tmp_path / 'grid30.edges'}: shortest-path counts")
+    assert "n=900" in str(w.message) and "2**53" in str(w.message)
 
 
 def test_structural_feature_widths(smoke_dataset, tmp_path, capsys):

@@ -13,7 +13,7 @@ from netclass import (
     read_edge_list,
     write_edge_list,
 )
-from netclass.graph import MAX_DENSE_SIZE
+from netclass.graph import MAX_DENSE_SIZE, neighbor_arrays
 
 
 def p3():
@@ -127,6 +127,10 @@ def test_adjacency_round_trip(ne):
     assert np.trace(a) == 0
     rebuilt = from_edge_list(n, list(zip(*np.nonzero(a))) if a.any() else [])
     assert rebuilt == g
+    indptr, indices = neighbor_arrays(g)
+    assert [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)] == [
+        list(np.flatnonzero(row)) for row in a
+    ]
 
 
 def test_edge_list_file_round_trip(tmp_path):

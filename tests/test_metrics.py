@@ -120,21 +120,15 @@ def test_betweenness_matches_oracle_battery():
 
 
 def test_sigma_counts_are_integer_exact():
-    from netclass.metrics import _bfs_all, _dense
+    from netclass.metrics import _shortest_paths
 
     rng = np.random.default_rng(11)
     for _ in range(20):
         g = oracles.random_graph(rng, int(rng.integers(2, 13)), 0.4)
-        _, sigma = _bfs_all(_dense(g))
+        _, sigma, _ = _shortest_paths(g)
         expected = oracles.sigma_matrix(g)
         reachable = expected > 0
         assert np.array_equal(sigma[reachable], expected[reachable].astype(float))
-
-
-def _grid(side):
-    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
-    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
-    return from_edge_list(side * side, edges)
 
 
 def test_path_counts_past_2_53_warn():
@@ -142,9 +136,9 @@ def test_path_counts_past_2_53_warn():
     # 7.7e15 at side 29, 3.0e16 at side 30, with 2**53 ~ 9.0e15 in between
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        betweenness(_grid(29))
+        betweenness(oracles.grid_graph(29))
     with pytest.warns(UserWarning, match=r"n=900.*2\*\*53"):
-        betweenness(_grid(30))
+        betweenness(oracles.grid_graph(30))
 
 
 # ---------------------------------------------------------------------------
