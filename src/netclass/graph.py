@@ -77,15 +77,20 @@ def _from_pairs(n: int, us, vs) -> Graph:
     return Graph(n, tuple(tuple(sorted(a)) for a in adj))
 
 
+def require_dense_size(g: Graph) -> None:
+    """Raise if ``g`` is too large for the dense n x n arrays built on it."""
+    if g.n > MAX_DENSE_SIZE:
+        raise GraphInputError(
+            f"dense matrix of size {g.n} exceeds the cap of {MAX_DENSE_SIZE}"
+        )
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix: ``A[i, j] = 1`` iff ``{i, j}`` is an edge.
 
     Symmetric with an all-zero diagonal.  Returns uint8.
     """
-    if g.n > MAX_DENSE_SIZE:
-        raise GraphInputError(
-            f"dense matrix of size {g.n} exceeds the cap of {MAX_DENSE_SIZE}"
-        )
+    require_dense_size(g)
     a = np.zeros((g.n, g.n), dtype=np.uint8)
     for u, nbrs in enumerate(g.adj):
         if nbrs:

@@ -20,7 +20,13 @@ import warnings
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, degree_vector, neighbor_arrays
+from .graph import (
+    Graph,
+    adjacency_matrix,
+    degree_vector,
+    neighbor_arrays,
+    require_dense_size,
+)
 
 
 class DisconnectedGraphError(ValueError):
@@ -62,6 +68,9 @@ _EXACT_COUNT_LIMIT = 2.0**53
 # as 500 multiply-adds of the product.  Kernel time over the benchmark's
 # deep (WS/GEO n=500) and scale-free (BA/DM n=1000) graphs of two seeds was
 # flat within 3% from 350 to 700, 1-9% slower at 250 and 9-45% slower at 1000.
+# The dense product earns its place on wide levels: with every level forced
+# sparse, the scale-free benchmark's features stage ran 16% slower, and
+# betweenness ran 3.7x slower on BA n=1000 k=40 and 19x on ER n=500 k=200.
 _SPARSE_RATIO = 500
 
 
@@ -98,8 +107,11 @@ def _shortest_paths(g: Graph, with_betweenness: bool = False):
 
     Both passes move one level at a time over the (source, node) pairs at
     that distance, held as flat indices ``s * n + v``, and each level picks
-    its own method by its edge work (see ``_SPARSE_RATIO``).
+    its own method by its edge work (see ``_SPARSE_RATIO``).  The flat n * n
+    arrays are dense whichever method runs, so ``g`` is held to the same size
+    cap as :func:`adjacency_matrix`.
     """
+    require_dense_size(g)
     n = g.n
     indptr, indices = neighbor_arrays(g)
     deg = np.diff(indptr)

@@ -231,6 +231,18 @@ def test_feature_errors_name_the_graph(smoke_dataset, tmp_path, capsys):
     assert "empty.edges" in err
 
 
+def test_oversized_graph_is_refused_by_name(tmp_path, capsys):
+    edgefile = tmp_path / "huge.edges"
+    edgefile.write_text("# n=10001\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,model,n,k_bar,alpha,beta,seed\n"
+                        "huge.edges,ER,ER,10001,2,,0.1,0\n")
+    code, _, err = run(capsys, "features", "--manifest", str(manifest),
+                       "--extractor", "structural:bet", "--out", str(tmp_path / "f.csv"))
+    assert code == 1
+    assert "huge.edges" in err and "cap" in err
+
+
 def test_external_csv_flows_through_classify(tmp_path, capsys):
     csv = tmp_path / "ext.csv"
     rows = ["label,f0,f1"]

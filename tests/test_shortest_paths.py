@@ -17,15 +17,17 @@ import oracles
 from netclass import (
     DisconnectedGraphError,
     GenSpec,
+    all_pairs_distances,
     betweenness,
     closeness,
     eccentricity,
     from_edge_list,
     generate,
+    structural_features,
 )
 from netclass import metrics
 from netclass.generators import preset_rows
-from netclass.graph import adjacency_matrix
+from netclass.graph import MAX_DENSE_SIZE, Graph, GraphInputError, adjacency_matrix
 
 FORCED_RATIO = {"sparse": 1, "dense": math.inf}
 
@@ -125,3 +127,15 @@ def test_large_graph_matches_networkx(large):
     else:
         with pytest.raises(DisconnectedGraphError):
             eccentricity(g)
+
+
+def test_size_cap_applies_without_a_dense_level():
+    # an edgeless graph never goes dense, but the kernel's flat n * n arrays
+    # would still be allocated, so it is refused like adjacency_matrix
+    g = Graph(MAX_DENSE_SIZE + 1, tuple(() for _ in range(MAX_DENSE_SIZE + 1)))
+    for metric in (betweenness, closeness, all_pairs_distances):
+        with pytest.raises(GraphInputError, match="cap"):
+            metric(g)
+    for which in (["bet"], ["d"], "combined"):
+        with pytest.raises(GraphInputError, match="cap"):
+            structural_features(g, which)
