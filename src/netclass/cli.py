@@ -19,12 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import LabeledDataset, evaluate
+from .classify import DatasetError, LabeledDataset, evaluate
 from .features import (
     FeatureError,
     clbp_features,
     hu_moments,
     projection,
+    read_feature_csv,
     render_pgm,
     write_feature_csv,
 )
@@ -143,19 +144,19 @@ def cmd_features(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .features import read_feature_csv
-
     labels, feats = read_feature_csv(args.features)
-    dataset = LabeledDataset(feats, tuple(labels), extractor=args.extractor_id)
-    report = evaluate(
-        dataset,
-        classifier=args.classifier,
-        folds=args.folds,
-        seed=args.seed,
-        knn_k=args.knn_k,
-        svm_c=args.svm_c,
-        svm_epochs=args.svm_epochs,
-    )
+    try:
+        report = evaluate(
+            LabeledDataset(feats, tuple(labels), extractor=args.extractor_id),
+            classifier=args.classifier,
+            folds=args.folds,
+            seed=args.seed,
+            knn_k=args.knn_k,
+            svm_c=args.svm_c,
+            svm_epochs=args.svm_epochs,
+        )
+    except DatasetError as exc:
+        raise DatasetError(f"{args.features}: {exc}") from None
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
     print(report.summary_cell())

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import read_text_lines
+
 EXTRACTOR_LENGTHS = {"projection": 2500, "clbp": 200, "hu": 7, "structural": 3001}
 
 PROJECTION_LENGTH = 2500
@@ -53,7 +55,7 @@ def _riu2_table() -> np.ndarray:
     # Map each 8-bit circular code to its rotation-invariant uniform bin:
     # codes with at most two 0/1 transitions map to their popcount (0..8),
     # everything else to the catch-all bin 9.
-    table = np.empty(256, dtype=np.int64)
+    table = np.empty(256, dtype=np.uint8)
     for code in range(256):
         bits = [(code >> p) & 1 for p in range(8)]
         transitions = sum(bits[p] != bits[(p + 1) % 8] for p in range(8))
@@ -67,37 +69,37 @@ CLBP_BINS = 200  # 10 sign bins x 10 magnitude bins x 2 center bins
 
 
 def clbp_features(aprime: np.ndarray) -> np.ndarray:
-    """Joint sign/magnitude/center local-pattern histogram, L1-normalized.
+    """Joint sign/magnitude/center local-pattern histogram of a 0/1 image,
+    L1-normalized; other values are rejected.
 
-    For every interior pixel and its 8 neighbors at radius 1: the sign code
-    collects ``step(neighbor - center)`` bits, the magnitude code collects
-    ``step(|difference| - mean |difference|)`` bits (mean taken over the
-    whole image), and the center bit is ``step(center - image mean)``, with
-    ``step(x) = 1`` iff ``x >= 0``; ties count as set, a convention that
-    matters everywhere on binary input.  Sign and magnitude codes are mapped
-    to rotation-invariant uniform bins (10 each) and combined with the
-    center bit into a flat histogram of 200 bins, indexed
-    ``(sign_bin * 10 + magnitude_bin) * 2 + center_bit``.
-
+    For every interior pixel and its 8 neighbors at radius 1, the sign bits
+    ``step(neighbor - center)``, magnitude bits ``step(|difference| - mean
+    |difference|)`` and center bit ``step(center - image mean)``, with means
+    over the whole image and ``step(x) = 1`` iff ``x >= 0``, are on 0/1 input
+    ``neighbor or not center``, ``neighbor xor center`` (all set when no
+    difference is non-zero) and ``center`` (all set on an all-zero image).
+    Sign and magnitude codes are mapped to rotation-invariant uniform bins
+    (10 each) and combined with the center bit into a flat histogram of 200
+    bins, indexed ``(sign_bin * 10 + magnitude_bin) * 2 + center_bit``.
     Border pixels have no full 3x3 window and are skipped.
     """
-    img = np.asarray(aprime, dtype=np.float64)
+    img = np.asarray(aprime)
     if img.ndim != 2 or min(img.shape) < 3:
         raise FeatureError("local patterns need a 2-D image of size at least 3x3")
-    h, w = img.shape
-    center = img[1:-1, 1:-1]
-    s_code = np.zeros(center.shape, dtype=np.int64)
-    mags = np.empty((8,) + center.shape)
+    bits = img.astype(bool)
+    if not np.array_equal(bits, img):
+        raise FeatureError("local patterns need a 0/1 image")
+    h, w = bits.shape
+    center = bits[1:-1, 1:-1]
+    s_code = np.zeros(center.shape, dtype=np.uint8)
+    m_code = np.zeros(center.shape, dtype=np.uint8)
     for p, (dy, dx) in enumerate(_OFFSETS):
-        neighbor = img[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
-        diff = neighbor - center
-        s_code |= (diff >= 0).astype(np.int64) << p
-        mags[p] = np.abs(diff)
-    mag_mean = mags.mean()
-    m_code = np.zeros(center.shape, dtype=np.int64)
-    for p in range(8):
-        m_code |= (mags[p] - mag_mean >= 0).astype(np.int64) << p
-    c_bit = (center - img.mean() >= 0).astype(np.int64)
+        neighbor = bits[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
+        s_code |= (neighbor | ~center).view(np.uint8) << p
+        m_code |= (neighbor ^ center).view(np.uint8) << p
+    if not m_code.any():
+        m_code[:] = 0xFF
+    c_bit = center | (not bits.any())
     joint = (_RIU2[s_code] * 10 + _RIU2[m_code]) * 2 + c_bit
     hist = np.bincount(joint.ravel(), minlength=CLBP_BINS).astype(np.float64)
     return hist / hist.sum()
@@ -204,38 +206,39 @@ def write_feature_csv(path, labels, features: np.ndarray) -> None:
 
 
 def read_feature_csv(path):
-    """Parse a feature CSV into ``(labels, matrix)``; errors name the line."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise FeatureError(f"{path}: empty feature file")
-        cols = header.strip().split(",")
-        if not cols or cols[0] != "label":
-            raise FeatureError(f"{path}: first header column must be 'label'")
-        width = len(cols) - 1
-        if width < 1:
-            raise FeatureError(f"{path}: header declares no feature columns")
-        labels: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width + 1:
-                raise FeatureError(
-                    f"{path}:{lineno}: expected {width} features, got {len(parts) - 1}"
-                )
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError:
-                raise FeatureError(
-                    f"{path}:{lineno}: non-numeric feature value"
-                ) from None
-            labels.append(parts[0])
+    """Parse a feature CSV of finite numbers into ``(labels, matrix)``;
+    errors name the file and, where one line is at fault, the line."""
+    header, *lines = read_text_lines(path, FeatureError)
+    if not (header or lines):
+        raise FeatureError(f"{path}: empty feature file")
+    cols = header.strip().split(",")
+    if cols[0] != "label":
+        raise FeatureError(f"{path}: first header column must be 'label'")
+    width = len(cols) - 1
+    if width < 1:
+        raise FeatureError(f"{path}: header declares no feature columns")
+    labels: list[str] = []
+    rows: list[np.ndarray] = []
+    for lineno, raw in enumerate(lines, start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width + 1:
+            raise FeatureError(
+                f"{path}:{lineno}: expected {width} features, got {len(parts) - 1}"
+            )
+        try:
+            row = np.array(parts[1:], dtype=np.float64)
+        except ValueError:
+            raise FeatureError(f"{path}:{lineno}: non-numeric feature value") from None
+        if not np.isfinite(row).all():
+            raise FeatureError(f"{path}:{lineno}: non-finite feature value")
+        rows.append(row)
+        labels.append(parts[0])
     if not rows:
         raise FeatureError(f"{path}: no feature rows")
-    return labels, np.array(rows, dtype=np.float64)
+    return labels, np.array(rows)
 
 
 def load_external_features(path):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Graph, _from_pairs
+from .graph import Graph, from_edge_list, read_text_lines
 from .rng import float_bits, make_rng, mix_seed
 
 MODELS = ("ER", "WS", "BA", "GEO", "DM")
@@ -109,7 +109,7 @@ def gen_erdos_renyi(spec: GenSpec) -> Graph:
     p = spec.k_bar / n
     iu, ju = np.triu_indices(n, k=1)
     mask = make_rng(spec.seed).random(iu.shape[0]) < p
-    return _from_pairs(n, iu[mask].tolist(), ju[mask].tolist())
+    return from_edge_list(n, np.column_stack([iu[mask], ju[mask]]))
 
 
 def gen_watts_strogatz(spec: GenSpec) -> Graph:
@@ -150,7 +150,7 @@ def gen_watts_strogatz(spec: GenSpec) -> Graph:
             nbrs[old].discard(i)
             nbrs[i].add(m)
             nbrs[m].add(i)
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+    return from_edge_list(n, [(i, j) for i, s in enumerate(nbrs) for j in s if i < j])
 
 
 def gen_barabasi_albert(spec: GenSpec) -> Graph:
@@ -167,12 +167,8 @@ def gen_barabasi_albert(spec: GenSpec) -> Graph:
     _expect(spec, "BA")
     n, c, alpha = spec.n, spec.k_bar // 2, float(spec.alpha)
     rng = make_rng(spec.seed)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
     core = c + 1
-    for u in range(core):
-        for v in range(u + 1, core):
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
     deg = np.zeros(n)
     deg[:core] = c
     for t in range(core, n):
@@ -183,12 +179,11 @@ def gen_barabasi_albert(spec: GenSpec) -> Graph:
             target = int(np.searchsorted(cum, rng.random() * total, side="right"))
             if target not in chosen:
                 chosen.add(target)
-        for target in sorted(chosen):
-            nbrs[t].add(target)
-            nbrs[target].add(t)
+        for target in chosen:
+            edges.append((t, target))
             deg[target] += 1
         deg[t] = c
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+    return from_edge_list(n, edges)
 
 
 def geo_points(spec: GenSpec) -> np.ndarray:
@@ -213,13 +208,10 @@ def geographic_edges(points: np.ndarray, radius: float) -> list[tuple[int, int]]
     out: list[tuple[int, int]] = []
     block = 512
     for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        diff = points[lo:hi, None, :] - points[None, :, :]
-        d2 = (diff * diff).sum(axis=-1)
-        for bi, bj in zip(*np.nonzero(d2 < r2)):
-            i, j = lo + int(bi), int(bj)
-            if i < j:
-                out.append((i, j))
+        diff = points[lo:lo + block, None, :] - points[None, :, :]
+        i, j = np.nonzero((diff * diff).sum(axis=-1) < r2)
+        i += lo
+        out += zip(i[i < j].tolist(), j[i < j].tolist())
     return out
 
 
@@ -232,8 +224,7 @@ def gen_geographic(spec: GenSpec) -> Graph:
     """
     _expect(spec, "GEO")
     pts = geo_points(spec)
-    pairs = geographic_edges(pts, geo_radius(spec.n, spec.k_bar))
-    return _from_pairs(spec.n, [u for u, _ in pairs], [v for _, v in pairs])
+    return from_edge_list(spec.n, geographic_edges(pts, geo_radius(spec.n, spec.k_bar)))
 
 
 def gen_dorogovtsev_mendes(spec: GenSpec) -> Graph:
@@ -252,24 +243,20 @@ def gen_dorogovtsev_mendes(spec: GenSpec) -> Graph:
     n, m = spec.n, spec.k_bar // 4
     rng = make_rng(spec.seed)
     edges: list[tuple[int, int]] = [(0, 1), (0, 2), (1, 2)]
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
     for t in range(3, n):
         picked: set[int] = set()
         while len(picked) < m:
             idx = int(rng.integers(0, len(edges)))
             if idx not in picked:
                 picked.add(idx)
+        linked: set[int] = set()
         for idx in sorted(picked):
             for endpoint in edges[idx]:
-                if endpoint in nbrs[t]:
+                if endpoint in linked:
                     continue
-                nbrs[t].add(endpoint)
-                nbrs[endpoint].add(t)
+                linked.add(endpoint)
                 edges.append((t, endpoint))
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+    return from_edge_list(n, edges)
 
 
 _GENERATORS = {
@@ -410,29 +397,28 @@ def read_manifest(path):
     directory; resolution is the caller's concern).  Malformed numbers and
     rejected specs raise :class:`InvalidSpecError` naming the file and line.
     """
+    header, *lines = read_text_lines(path, InvalidSpecError)
+    if header.strip() != _MANIFEST_HEADER:
+        raise InvalidSpecError(f"{path}: unexpected manifest header {header.strip()!r}")
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != _MANIFEST_HEADER:
-            raise InvalidSpecError(f"{path}: unexpected manifest header {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise InvalidSpecError(f"{path}:{lineno}: expected 8 fields")
-            fpath, label, model, n, k, alpha, beta, seed = parts
-            try:
-                spec = GenSpec(
-                    model,
-                    int(n),
-                    int(k),
-                    alpha=None if alpha == "" else float(alpha),
-                    beta=float(beta),
-                    seed=int(seed),
-                )
-            except ValueError as exc:
-                raise InvalidSpecError(f"{path}:{lineno}: {exc}") from None
-            triples.append((fpath, label, spec))
+    for lineno, raw in enumerate(lines, start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise InvalidSpecError(f"{path}:{lineno}: expected 8 fields")
+        fpath, label, model, n, k, alpha, beta, seed = parts
+        try:
+            spec = GenSpec(
+                model,
+                int(n),
+                int(k),
+                alpha=None if alpha == "" else float(alpha),
+                beta=float(beta),
+                seed=int(seed),
+            )
+        except ValueError as exc:
+            raise InvalidSpecError(f"{path}:{lineno}: {exc}") from None
+        triples.append((fpath, label, spec))
     return triples

@@ -1,15 +1,16 @@
-"""Undirected simple graphs, their adjacency matrices, and shared-neighbor
-matrix products.
+"""Undirected simple graphs in compressed sparse row (CSR) form, their
+adjacency matrices, and shared-neighbor matrix products.
 
-Nodes are dense 0-based indices.  Graphs are immutable after construction and
-safe to share across workers; anything that needs mutation builds a new graph.
+Nodes are dense 0-based indices.  Graphs hold read-only arrays, so they are
+immutable and safe to share across workers; :func:`from_edge_list` is the
+one constructor.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,60 +22,88 @@ class GraphInputError(ValueError):
     """Malformed graph input: bad indices, bad node counts, bad edge files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected simple graph on nodes ``0..n-1``.
+    """Immutable undirected simple graph on nodes ``0..n-1``, in CSR form.
 
-    ``adj[i]`` is the ascending tuple of neighbors of node ``i``.  The
-    constructors guarantee symmetry (``j in adj[i]`` iff ``i in adj[j]``) and
-    simplicity (no self-loops, no duplicate neighbors).
+    The neighbors of node ``i`` are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending; ``indptr`` is int64 of length ``n + 1`` and ``indices`` int32,
+    both read-only.  :func:`from_edge_list` guarantees symmetry and
+    simplicity (no self-loops, no duplicate neighbors).  ``==`` compares
+    structure.
     """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Graph)
+            and self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return self.indices.size // 2
+
+    def neighbors(self, i: int) -> np.ndarray:
+        """The ascending neighbors of node ``i``."""
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def edges(self):
-        """Yield each edge exactly once as ``(u, v)`` with ``u < v``."""
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if v > u:
-                    yield u, v
+        """Iterate each edge exactly once as ``(u, v)`` with ``u < v``, in
+        ascending order."""
+        rows = _sources(self)
+        upper = self.indices > rows
+        return zip(rows[upper].tolist(), self.indices[upper].tolist())
+
+
+def _sources(g: Graph) -> np.ndarray:
+    # the row of each CSR entry: entry e is the edge (_sources(g)[e], indices[e])
+    return np.repeat(np.arange(g.n), np.diff(g.indptr))
 
 
 def from_edge_list(n, edges) -> Graph:
     """Build a simple graph from ``(u, v)`` pairs.
 
-    Self-loops are dropped and duplicate edges collapse to one; neighbor
-    lists come out sorted ascending.  Indices outside ``[0, n)`` are
-    rejected with the offending pair named.
+    ``edges`` is any iterable of pairs or an (m, 2) array.  Self-loops are
+    dropped and duplicate edges collapse to one.  Anything but integer pairs
+    is rejected, and so are indices outside ``[0, n)``, naming the first
+    offending pair.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
         raise GraphInputError(f"node count must be a positive integer, got {n!r}")
     n = int(n)
-    sets: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphInputError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            continue
-        sets[u].add(v)
-        sets[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in sets))
-
-
-def _from_pairs(n: int, us, vs) -> Graph:
-    # Internal fast path for generators: pairs are already unique, in-range,
-    # loop-free.
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(us, vs):
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj))
+    rows = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        pairs = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        # past int64, so out of range: the check below names the pair
+        pairs = np.asarray(rows, dtype=object)
+    except (TypeError, ValueError):
+        raise GraphInputError("edges must be pairs of integer node indices") from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    elif pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphInputError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        u, v = pairs[np.argmax(bad)]
+        raise GraphInputError(f"edge ({u}, {v}) out of range for n={n}")
+    u, v = pairs[pairs[:, 0] != pairs[:, 1]].astype(np.int64, copy=False).T
+    # both directions of every edge, row-major, duplicates dropped (np.unique
+    # would do it 10x slower here, and its first call imports numpy.ma)
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    indices = (keys % n).astype(np.int32)
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return Graph(n, indptr, indices)
 
 
 def require_dense_size(g: Graph) -> None:
@@ -92,29 +121,13 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     """
     require_dense_size(g)
     a = np.zeros((g.n, g.n), dtype=np.uint8)
-    for u, nbrs in enumerate(g.adj):
-        if nbrs:
-            a[u, list(nbrs)] = 1
+    a[_sources(g), g.indices] = 1
     return a
 
 
 def degree_vector(g: Graph) -> np.ndarray:
-    """Per-node degree; the sum equals twice the edge count."""
-    return np.array([len(nbrs) for nbrs in g.adj], dtype=np.int64)
-
-
-def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Compressed sparse row form of the adjacency: ``(indptr, indices)``.
-
-    The neighbors of node ``i`` are ``indices[indptr[i]:indptr[i + 1]]``,
-    ascending; ``indptr`` is int64 of length ``n + 1`` and ``indices`` int32.
-    """
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(degree_vector(g), out=indptr[1:])
-    indices = np.fromiter(
-        itertools.chain.from_iterable(g.adj), dtype=np.int32, count=int(indptr[-1])
-    )
-    return indptr, indices
+    """Per-node degree (int64); the sum equals twice the edge count."""
+    return np.diff(g.indptr)
 
 
 def cocitation(g: Graph) -> np.ndarray:
@@ -129,6 +142,14 @@ def cocitation(g: Graph) -> np.ndarray:
     return a @ a.T
 
 
+def read_text_lines(path, error: type[ValueError]) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes raise ``error`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 _N_DIRECTIVE = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")
 
 
@@ -138,56 +159,56 @@ def read_edge_list(path) -> Graph:
     Format: UTF-8 text, one ``u v`` pair of non-negative integers per line,
     whitespace-separated.  Lines starting with ``#`` are comments; a single
     optional directive line ``# n=<N>`` fixes the node count, otherwise the
-    node count is one plus the largest index seen.
+    node count is one plus the largest index seen.  Node counts past
+    ``MAX_DENSE_SIZE`` are refused while parsing, before any per-node
+    storage exists.  Errors name the file, and the line where one is at fault.
     """
     n_directive: int | None = None
-    edges: list[tuple[int, int, int]] = []
-    max_idx = -1
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _N_DIRECTIVE.match(line)
-                if m:
-                    if n_directive is not None:
-                        raise GraphInputError(
-                            f"{path}:{lineno}: duplicate node-count directive"
-                        )
-                    n_directive = int(m.group(1))
-                    if n_directive <= 0:
-                        raise GraphInputError(
-                            f"{path}:{lineno}: node count must be positive"
-                        )
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphInputError(
-                    f"{path}:{lineno}: expected 'u v', got {line!r}"
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphInputError(
-                    f"{path}:{lineno}: non-integer node index in {line!r}"
-                ) from None
-            if u < 0 or v < 0:
-                raise GraphInputError(
-                    f"{path}:{lineno}: negative node index in {line!r}"
-                )
-            edges.append((u, v, lineno))
-            max_idx = max(max_idx, u, v)
+    edges: list[tuple[int, int]] = []
+    linenos: list[int] = []
+    for lineno, raw in enumerate(read_text_lines(path, GraphInputError), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _N_DIRECTIVE.match(line)
+            if m:
+                if n_directive is not None:
+                    raise GraphInputError(
+                        f"{path}:{lineno}: duplicate node-count directive"
+                    )
+                n_directive = int(m.group(1))
+                if not 0 < n_directive <= MAX_DENSE_SIZE:
+                    raise GraphInputError(
+                        f"{path}:{lineno}: node count {n_directive} is outside "
+                        f"1..{MAX_DENSE_SIZE}, the dense size cap"
+                    )
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphInputError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphInputError(
+                f"{path}:{lineno}: non-integer node index in {line!r}"
+            ) from None
+        if not (0 <= u < MAX_DENSE_SIZE and 0 <= v < MAX_DENSE_SIZE):
+            raise GraphInputError(
+                f"{path}:{lineno}: node index outside 0..{MAX_DENSE_SIZE - 1}, "
+                f"the dense size cap, in {line!r}"
+            )
+        edges.append((u, v))
+        linenos.append(lineno)
 
-    n = n_directive if n_directive is not None else max_idx + 1
+    top = max(map(max, edges), default=-1)
+    n = n_directive if n_directive is not None else top + 1
     if n <= 0:
         raise GraphInputError(f"{path}: no edges and no node-count directive")
-    if n_directive is not None and max_idx >= n_directive:
-        bad = next(ln for u, v, ln in edges if u >= n_directive or v >= n_directive)
-        raise GraphInputError(
-            f"{path}:{bad}: node index exceeds declared n={n_directive}"
-        )
-    return from_edge_list(n, [(u, v) for u, v, _ in edges])
+    if top >= n:
+        bad = next(ln for (u, v), ln in zip(edges, linenos) if max(u, v) >= n)
+        raise GraphInputError(f"{path}:{bad}: node index exceeds declared n={n}")
+    return from_edge_list(n, edges)
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -197,6 +218,4 @@ def write_edge_list(g: Graph, path) -> None:
     round trip.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={g.n}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        fh.write(f"# n={g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))

@@ -20,13 +20,7 @@ import warnings
 
 import numpy as np
 
-from .graph import (
-    Graph,
-    adjacency_matrix,
-    degree_vector,
-    neighbor_arrays,
-    require_dense_size,
-)
+from .graph import Graph, adjacency_matrix, degree_vector, require_dense_size
 
 
 class DisconnectedGraphError(ValueError):
@@ -74,18 +68,19 @@ _EXACT_COUNT_LIMIT = 2.0**53
 _SPARSE_RATIO = 500
 
 
-def _expand(pairs, weights, k, n, indptr, indices):
-    """Sum each (source, node) pair's weight onto the node's neighbors.
+def _expand(pairs, weights, k, g):
+    """Sum each (source, node) pair's weight onto the node's neighbors in g.
 
     ``pairs`` are flat indices ``s * n + v`` and ``k`` the degree of each
     pair's node.  Returns the flat n * n float array whose entry ``s * n + u``
     is the sum of ``weights[i]`` over the pairs ``s * n + v`` with u adjacent
     to v, summed in pair order.
     """
+    n = g.n
     v = pairs % n
-    pos = np.repeat(indptr[v] - (np.cumsum(k) - k), k)
+    pos = np.repeat(g.indptr[v] - (np.cumsum(k) - k), k)
     pos += np.arange(pos.size)
-    nbrs = indices[pos]
+    nbrs = g.indices[pos]
     del pos
     targets = np.repeat(pairs - v, k)
     targets += nbrs
@@ -113,8 +108,7 @@ def _shortest_paths(g: Graph, with_betweenness: bool = False):
     """
     require_dense_size(g)
     n = g.n
-    indptr, indices = neighbor_arrays(g)
-    deg = np.diff(indptr)
+    deg = degree_vector(g)
     dense = None
 
     def spread(pairs, weights):
@@ -134,9 +128,9 @@ def _shortest_paths(g: Graph, with_betweenness: bool = False):
         ends = np.cumsum(k)
         cuts = [0, *np.searchsorted(ends, np.arange(step, ends[-1], step)), pairs.size]
         del ends
-        out = _expand(pairs[: cuts[1]], weights[: cuts[1]], k[: cuts[1]], n, indptr, indices)
+        out = _expand(pairs[: cuts[1]], weights[: cuts[1]], k[: cuts[1]], g)
         for lo, hi in zip(cuts[1:], cuts[2:]):
-            out += _expand(pairs[lo:hi], weights[lo:hi], k[lo:hi], n, indptr, indices)
+            out += _expand(pairs[lo:hi], weights[lo:hi], k[lo:hi], g)
         return out
 
     dist = np.full(n * n, -1, dtype=np.int32)
@@ -176,10 +170,6 @@ def _shortest_paths(g: Graph, with_betweenness: bool = False):
     delta = delta.reshape(n, n)
     bet = (delta.sum(axis=0) - np.diag(delta)) / 2.0
     return dist.reshape(n, n), sigma.reshape(n, n), bet
-
-
-def _dense(g: Graph) -> np.ndarray:
-    return adjacency_matrix(g).astype(np.float64)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -251,7 +241,7 @@ def clustering(g: Graph) -> np.ndarray:
     ``2 * T_i / (k_i * (k_i - 1))`` with ``T_i`` the edge count among the
     neighbors of ``i``; nodes of degree below 2 score 0.
     """
-    a = _dense(g)
+    a = adjacency_matrix(g).astype(np.float64)
     deg = a.sum(axis=1)
     closed = ((a @ a) * a).sum(axis=1)  # = 2 * T_i
     denom = deg * (deg - 1.0)
@@ -259,11 +249,14 @@ def clustering(g: Graph) -> np.ndarray:
 
 
 def avg_neighbor_degree(g: Graph) -> np.ndarray:
-    """Mean degree over each node's neighbors; 0 for isolated nodes."""
-    a = _dense(g)
-    deg = a.sum(axis=1)
-    tot = a @ deg
-    return np.where(deg > 0, tot / np.maximum(deg, 1.0), 0.0)
+    """Mean degree over each node's neighbors; 0 for isolated nodes.
+
+    The sums are of integers, so each mean is an exact quotient.
+    """
+    deg = degree_vector(g)
+    run = np.concatenate([[0], np.cumsum(deg[g.indices])])  # per CSR entry
+    tot = run[g.indptr[1:]] - run[g.indptr[:-1]]
+    return np.where(deg > 0, tot / np.maximum(deg, 1), 0.0)
 
 
 def assortativity_scalar(g: Graph) -> float:
@@ -272,15 +265,12 @@ def assortativity_scalar(g: Graph) -> float:
     Undefined (raises) when every edge endpoint has the same degree, e.g. on
     regular graphs.
     """
-    deg = degree_vector(g).astype(np.float64)
-    us, vs = [], []
-    for u, v in g.edges():
-        us.append(u)
-        vs.append(v)
-    if not us:
+    if g.edge_count == 0:
         raise UndefinedMetricError("assortativity is undefined without edges")
-    x = np.concatenate([deg[us], deg[vs]])
-    y = np.concatenate([deg[vs], deg[us]])
+    deg = degree_vector(g)
+    # one (x, y) pair per CSR entry: each edge once in each direction
+    x = np.repeat(deg, deg).astype(np.float64)
+    y = deg[g.indices].astype(np.float64)
     x_c = x - x.mean()
     var = (x_c * x_c).mean()
     if var == 0.0:

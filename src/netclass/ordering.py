@@ -40,7 +40,7 @@ def node_ranking(g: Graph) -> np.ndarray:
     deg = degree_vector(g)
     qbet = np.round(betweenness(g), BETWEENNESS_DECIMALS)
     tie_keys = [
-        tuple(sorted((-int(deg[j]), -float(qbet[j])) for j in g.adj[i]))
+        tuple(sorted((-int(deg[j]), -float(qbet[j])) for j in g.neighbors(i).tolist()))
         for i in range(g.n)
     ]
     order = sorted(

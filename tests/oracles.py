@@ -12,25 +12,32 @@ from collections import deque
 import numpy as np
 
 
+def adjacency_lists(g):
+    """Each node's neighbors as a plain Python list."""
+    return [g.neighbors(v).tolist() for v in range(g.n)]
+
+
 def bfs_distances(g):
     """Hop distances by queue BFS from every source; -1 where unreachable."""
     n = g.n
+    adj = adjacency_lists(g)
     out = np.full((n, n), -1, dtype=np.int64)
     for s in range(n):
         out[s, s] = 0
         q = deque([s])
         while q:
             v = q.popleft()
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if out[s, w] < 0:
                     out[s, w] = out[s, v] + 1
                     q.append(w)
     return out
 
 
-def bfs_sigma(g, s):
-    """Distances and shortest-path counts from one source."""
-    n = g.n
+def bfs_sigma(adj, s):
+    """Distances and shortest-path counts from one source over
+    :func:`adjacency_lists`."""
+    n = len(adj)
     dist = [-1] * n
     sigma = [0] * n
     dist[s] = 0
@@ -38,7 +45,7 @@ def bfs_sigma(g, s):
     q = deque([s])
     while q:
         v = q.popleft()
-        for w in g.adj[v]:
+        for w in adj[v]:
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 q.append(w)
@@ -55,9 +62,10 @@ def brute_betweenness(g):
     shortest path.  Path counts are exact integers.
     """
     n = g.n
+    adj = adjacency_lists(g)
     dists, sigmas = [], []
     for s in range(n):
-        d, sg = bfs_sigma(g, s)
+        d, sg = bfs_sigma(adj, s)
         dists.append(d)
         sigmas.append(sg)
     dep = np.zeros(n)
@@ -80,9 +88,10 @@ def brute_betweenness(g):
 def sigma_matrix(g):
     """Integer shortest-path counts from every source (rows are sources)."""
     n = g.n
+    adj = adjacency_lists(g)
     out = np.zeros((n, n), dtype=np.int64)
     for s in range(n):
-        _, sg = bfs_sigma(g, s)
+        _, sg = bfs_sigma(adj, s)
         out[s] = sg
     return out
 

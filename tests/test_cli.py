@@ -125,12 +125,12 @@ def test_projection_features_skip_ranking(smoke_dataset, tmp_path, capsys, monke
     def no_ranking(g):
         raise AssertionError("projection must not rank nodes")
 
-    def no_dense(g):
+    def no_matrix(g):
         raise AssertionError("projection must not build the dense matrix")
 
     monkeypatch.setattr(ordering, "node_ranking", no_ranking)
-    monkeypatch.setattr(cli, "adjacency_matrix", no_dense, raising=False)
-    monkeypatch.setattr(graph, "adjacency_matrix", no_dense)
+    monkeypatch.setattr(cli, "adjacency_matrix", no_matrix, raising=False)
+    monkeypatch.setattr(graph, "adjacency_matrix", no_matrix)
     csv = tmp_path / "proj.csv"
     code, _, err = run(capsys, "features", "--manifest", str(manifest),
                        "--extractor", "projection", "--out", str(csv))

@@ -68,7 +68,7 @@ def test_er_edge_count_within_5_sigma():
 def test_ws_lattice_when_beta_zero():
     g = generate(GenSpec("WS", 40, 6, beta=0.0, seed=1))
     assert degree_vector(g).tolist() == [6] * 40
-    assert set(g.adj[0]) == {1, 2, 3, 37, 38, 39}
+    assert g.neighbors(0).tolist() == [1, 2, 3, 37, 38, 39]
 
 
 def test_ws_edge_count_exact_for_any_beta():
@@ -88,9 +88,9 @@ def test_ba_smallest_case_structure():
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert j in g.adj[i]  # complete seed core
+                assert j in g.neighbors(i).tolist()  # complete seed core
     for t in range(3, 6):
-        assert sum(1 for j in g.adj[t] if j < t) == 2  # two edges per arrival
+        assert (g.neighbors(t) < t).sum() == 2  # two edges per arrival
 
 
 def test_ba_connected_and_hubby():
@@ -148,9 +148,9 @@ def test_dm_smallest_step():
     g = generate(GenSpec("DM", 4, 4, seed=2))
     # seed triangle plus one node attached to both ends of one edge
     assert g.edge_count == 5
-    assert len(g.adj[3]) == 2
-    u, v = g.adj[3]
-    assert u in g.adj[v]
+    assert len(g.neighbors(3)) == 2
+    u, v = g.neighbors(3).tolist()
+    assert u in g.neighbors(v).tolist()
 
 
 def test_dm_mean_degree_m1():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from netclass import (
     read_edge_list,
     write_edge_list,
 )
-from netclass.graph import MAX_DENSE_SIZE, neighbor_arrays
+from netclass.graph import MAX_DENSE_SIZE
 
 
 def p3():
@@ -32,8 +34,34 @@ def test_path_graph():
 
 def test_self_loop_and_duplicate_dropped():
     g = from_edge_list(2, [(0, 1), (1, 0), (0, 0)])
-    assert g.adj == ((1,), (0,))
+    assert g.indptr.tolist() == [0, 1, 2] and g.indices.tolist() == [1, 0]
     assert g.edge_count == 1
+
+
+def test_csr_arrays_are_read_only():
+    g = star5()
+    assert g.indptr.tolist() == [0, 4, 5, 6, 7, 8]
+    assert g.indices.tolist() == [1, 2, 3, 4, 0, 0, 0, 0]
+    for arr in (g.indptr, g.indices, g.neighbors(0)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 3
+    assert g == star5() and g != p3() and g != from_edge_list(6, star5().edges())
+
+
+def test_edges_must_be_pairs():
+    # an (m, 3) array must not be read as 3m/2 pairs
+    for bad in ([(0, 1, 2)], np.array([[0, 1, 2], [2, 1, 0]]), [(0, 1), (1,)],
+                np.arange(4), [("a", 1)], [(None, 1)]):
+        with pytest.raises(GraphInputError, match="pairs"):
+            from_edge_list(3, bad)
+    assert from_edge_list(3, np.array([[0, 1], [2, 1]])) == from_edge_list(3, [(1, 0), (1, 2)])
+    assert from_edge_list(3, np.empty((0, 2), dtype=np.int64)).edge_count == 0
+
+
+def test_index_past_int64_names_the_pair():
+    for pair in ((0, 2**63), (2**70, 1), (-(2**64), 0)):
+        with pytest.raises(GraphInputError, match=re.escape(f"({pair[0]}, {pair[1]})")):
+            from_edge_list(3, [(0, 1), pair])
 
 
 def test_star_degrees():
@@ -63,7 +91,7 @@ def test_adjacency_matrix_examples():
 
 
 def test_adjacency_matrix_size_cap():
-    g = Graph(MAX_DENSE_SIZE + 1, tuple(() for _ in range(MAX_DENSE_SIZE + 1)))
+    g = from_edge_list(MAX_DENSE_SIZE + 1, [])
     with pytest.raises(GraphInputError, match="cap"):
         adjacency_matrix(g)
 
@@ -109,12 +137,17 @@ def edge_lists(draw):
 def test_graph_invariants(ne):
     n, edges = ne
     g = from_edge_list(n, edges)
-    for i, nbrs in enumerate(g.adj):
-        assert list(nbrs) == sorted(set(nbrs))  # sorted, no duplicates
+    want = sorted({(min(u, v), max(u, v)) for u, v in edges if u != v})
+    assert list(g.edges()) == want
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+    assert g.indptr[0] == 0 and g.indptr[-1] == g.indices.size == 2 * g.edge_count
+    for i in range(n):
+        nbrs = g.neighbors(i).tolist()
+        assert nbrs == sorted(set(nbrs))  # sorted, no duplicates
         assert i not in nbrs  # simple
         for j in nbrs:
             assert 0 <= j < n
-            assert i in g.adj[j]  # symmetric
+            assert i in g.neighbors(j).tolist()  # symmetric
 
 
 @given(edge_lists())
@@ -127,8 +160,7 @@ def test_adjacency_round_trip(ne):
     assert np.trace(a) == 0
     rebuilt = from_edge_list(n, list(zip(*np.nonzero(a))) if a.any() else [])
     assert rebuilt == g
-    indptr, indices = neighbor_arrays(g)
-    assert [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)] == [
+    assert [g.neighbors(i).tolist() for i in range(n)] == [
         list(np.flatnonzero(row)) for row in a
     ]
 

@@ -1,4 +1,5 @@
-"""Differential tests of the shortest-path kernel behind every distance metric.
+"""Differential tests of the shortest-path kernel behind every distance metric,
+and of the local metrics on the same graphs.
 
 Each BFS level of the kernel either expands its (source, node) pairs over
 neighbor arrays or runs a dense matrix product, chosen by the level's edge
@@ -18,8 +19,11 @@ from netclass import (
     DisconnectedGraphError,
     GenSpec,
     all_pairs_distances,
+    assortativity_scalar,
+    avg_neighbor_degree,
     betweenness,
     closeness,
+    clustering,
     eccentricity,
     from_edge_list,
     generate,
@@ -27,7 +31,7 @@ from netclass import (
 )
 from netclass import metrics
 from netclass.generators import preset_rows
-from netclass.graph import MAX_DENSE_SIZE, Graph, GraphInputError, adjacency_matrix
+from netclass.graph import MAX_DENSE_SIZE, GraphInputError, adjacency_matrix
 
 FORCED_RATIO = {"sparse": 1, "dense": math.inf}
 
@@ -129,10 +133,28 @@ def test_large_graph_matches_networkx(large):
             eccentricity(g)
 
 
+def test_large_graph_local_metrics_match_networkx(large):
+    # clustering, neighbor degree and assortativity read the CSR arrays (or
+    # the dense matrix) directly, outside the shortest-path kernel
+    nx = pytest.importorskip("networkx")
+    g = large[0]
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+
+    want = nx.clustering(ref)
+    assert np.allclose(clustering(g), [want[v] for v in range(g.n)], rtol=1e-12, atol=0)
+    # networkx averages over neighbors too, and scores isolated nodes 0
+    want = nx.average_neighbor_degree(ref)
+    assert np.allclose(avg_neighbor_degree(g), [want[v] for v in range(g.n)], rtol=1e-12, atol=0)
+    want = nx.degree_assortativity_coefficient(ref)
+    assert assortativity_scalar(g) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
 def test_size_cap_applies_without_a_dense_level():
     # an edgeless graph never goes dense, but the kernel's flat n * n arrays
     # would still be allocated, so it is refused like adjacency_matrix
-    g = Graph(MAX_DENSE_SIZE + 1, tuple(() for _ in range(MAX_DENSE_SIZE + 1)))
+    g = from_edge_list(MAX_DENSE_SIZE + 1, [])
     for metric in (betweenness, closeness, all_pairs_distances):
         with pytest.raises(GraphInputError, match="cap"):
             metric(g)
