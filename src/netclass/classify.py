@@ -59,6 +59,24 @@ class LabeledDataset:
         return np.array([lookup[l] for l in self.labels], dtype=np.int64)
 
 
+def _check_features(x: np.ndarray) -> None:
+    """Refuse features whose distances or variances would overflow.
+
+    A kNN distance sums ``d`` squared differences and a variance ``m`` of
+    them, each at most ``(2 * max|x|)**2``, so both stay finite while
+    ``4 * max(m, d) * max|x|**2`` does.
+    """
+    if not np.isfinite(x).all():
+        raise DatasetError("features must be finite")
+    limit = np.sqrt(np.finfo(np.float64).max / (4 * max(x.shape)))
+    largest = np.abs(x).max(initial=0.0)
+    if largest > limit:
+        raise DatasetError(
+            f"feature magnitude {largest:.3g} exceeds {limit:.3g}; "
+            "distances and variances would overflow"
+        )
+
+
 def stratified_kfold(labels, k: int = 10, seed: int = 0):
     """Assign each item to a fold, stratified by class.
 
@@ -185,8 +203,7 @@ def svm_train(train: LabeledDataset, c: float = 1.0, epochs: int = 30,
     vectorized updates.  The bias rides along as a constant appended feature.
     """
     x = np.asarray(train.features, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise DatasetError("features must be finite for SVM training")
+    _check_features(x)
     classes = train.classes
     if len(classes) < 2:
         raise DatasetError("SVM training needs at least 2 classes")
@@ -353,8 +370,7 @@ def evaluate(dataset: LabeledDataset, classifier: str = "knn", folds: int = 10,
     if len(classes) < 2:
         raise DatasetError("classification needs at least 2 classes")
     x = dataset.features
-    if not np.isfinite(x).all():
-        raise DatasetError("features must be finite")
+    _check_features(x)
     y = dataset.label_indices()
     fold_ids, k_used = stratified_kfold(dataset.labels, folds, seed)
 

@@ -1,10 +1,11 @@
 import json
-import os
+import multiprocessing
 
 import numpy as np
 import pytest
 
 import oracles
+from netclass import cli
 from netclass.cli import main, parse_extractor
 
 
@@ -94,21 +95,77 @@ def test_classify_rerun_byte_identical(smoke_dataset, tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_features_parallel_matches_serial(smoke_dataset, tmp_path, capsys):
+@pytest.mark.parametrize("extractor, start_method", [
+    ("projection", None),
+    ("hu", None),
+    ("clbp", None),
+    ("structural:combined", None),
+    ("clbp", "spawn"),  # the path every platform but Linux takes
+], ids=["projection", "hu", "clbp", "structural", "clbp-spawn"])
+def test_features_parallel_matches_serial(smoke_dataset, tmp_path, capsys, monkeypatch,
+                                          extractor, start_method):
+    manifest = str(smoke_dataset / "manifest.csv")
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
-        "--extractor", "clbp", "--out", str(serial))
-    os.environ["NETCLASS_THREADS"] = "2"
-    try:
-        run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
-            "--extractor", "clbp", "--out", str(parallel))
-    finally:
-        del os.environ["NETCLASS_THREADS"]
+    code, _, err = run(capsys, "features", "--manifest", manifest,
+                       "--extractor", extractor, "--out", str(serial))
+    assert code == 0, err
+    if start_method:
+        monkeypatch.setattr(cli, "START_METHOD", start_method)
+    monkeypatch.setenv("NETCLASS_THREADS", "2")
+    code, _, err = run(capsys, "features", "--manifest", manifest,
+                       "--extractor", extractor, "--out", str(parallel))
+    assert code == 0, err
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_pool_is_capped_at_the_task_count(smoke_dataset, tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the requested worker count and starts no process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing.get_context(cli.START_METHOD), "Pool", SerialPool)
+    # the smoke set holds 24 graphs
+    for threads, expected in (("64", [24]), ("2", [24, 2]), ("1", [24, 2])):
+        monkeypatch.setenv("NETCLASS_THREADS", threads)
+        code, _, err = run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
+                           "--extractor", "projection", "--out", str(tmp_path / "f.csv"))
+        assert code == 0, err
+        assert sizes == expected
+
+
+@pytest.mark.skipif(cli.START_METHOD != "fork",
+                    reason="only forked workers run the parent's loaded code")
+def test_workers_run_the_parents_code(smoke_dataset, tmp_path, capsys, monkeypatch):
+    from netclass import ordering
+
+    def patched(g):
+        raise ValueError("ranking patched in the parent")
+
+    # a fresh import in the worker would not see this patch and would succeed
+    monkeypatch.setattr(ordering, "node_ranking", patched)
+    monkeypatch.setenv("NETCLASS_THREADS", "2")
+    code, _, err = run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
+                       "--extractor", "hu", "--out", str(tmp_path / "hu.csv"))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "ranking patched in the parent" in err
+
+
 def test_projection_features_skip_ranking(smoke_dataset, tmp_path, capsys, monkeypatch):
-    from netclass import cli, graph, ordering, read_edge_list
+    from netclass import graph, ordering, read_edge_list
     from netclass.features import projection, write_feature_csv
     from netclass.generators import read_manifest
 

@@ -11,6 +11,7 @@ per-node storage.
 import contextlib
 import io
 import re
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,20 @@ def test_non_finite_feature_names_the_line(tmp_path):
         code, err = classify(csv)
         assert code == 1
         assert f"{csv}:4:" in err and "non-finite" in err
+
+
+def test_overflowing_features_are_refused(tmp_path):
+    # finite values whose spreads and distances overflow to inf
+    csv = tmp_path / "huge.csv"
+    csv.write_text("label,f0\na,1e308\na,-1e308\nb,1e308\nb,-1e308\n")
+    for classifier in ("knn", "svm"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = classify(csv, classifier)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(csv) in err and "overflow" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_dataset_errors_name_the_csv(tmp_path):
