@@ -10,9 +10,9 @@ run ends with the SHA-256 of each artifact group and one combined digest, so
 two runs (say, of two commits or two NETCLASS_THREADS settings) compare with
 one diff of their last lines.
 
-Expect about 2.5 minutes single-threaded on a 2-vCPU host with one BLAS
+Expect about 2 minutes single-threaded on a 2-vCPU host with one BLAS
 thread; set NETCLASS_THREADS to spread feature extraction over cores (about
-1.5 minutes with 2).
+70 seconds with 2).
 """
 
 import argparse

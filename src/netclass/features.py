@@ -21,8 +21,6 @@ import numpy as np
 
 from .graph import read_text_lines
 
-EXTRACTOR_LENGTHS = {"projection": 2500, "clbp": 200, "hu": 7, "structural": 3001}
-
 PROJECTION_LENGTH = 2500
 
 

@@ -3,11 +3,14 @@
 The shortest-path metrics (distances, diameter, closeness, eccentricity,
 betweenness) all share one level-synchronous BFS kernel that runs every
 source simultaneously.  Each BFS level, in the forward pass and in the
-betweenness backward pass, picks its own method from its edge work: a narrow
-level expands its (source, node) pairs over the graph's neighbor arrays, a
-wide one runs a dense n x n matrix product (the direction-optimizing idea of
-Beamer et al., SC 2012).  Both methods sum in a fixed order, so results are a
-deterministic function of the graph, and betweenness reuses the forward pass.
+betweenness backward pass, moves one of three ways, picked from its edge
+work.  Push scatters the level's (source, node) pairs onto their neighbors
+over the graph's neighbor arrays; pull has each pair that can still receive
+gather from its neighbors, which is cheaper once few pairs are left to reach
+(direction-optimizing BFS, Beamer et al., SC 2012); and a level on which both
+are wide runs one dense n x n matrix product.  Every method sums in a fixed
+order, so results are a deterministic function of the graph, and betweenness
+reuses the forward pass.
 
 Per-node metric vectors are turned into fixed-length feature vectors by
 histogramming over a fixed per-metric range with 500 equal-width bins, so
@@ -55,26 +58,45 @@ _DIAMETER_SCALE = 100.0
 # Largest integer float64 holds exactly; shortest-path counts above it round.
 _EXACT_COUNT_LIMIT = 2.0**53
 
-# A BFS level whose edge work (the summed degree of its pairs' nodes) is
-# below n**3 / _SPARSE_RATIO expands its pairs over the neighbor arrays; a
-# wider level runs one dense n x n product.  Break-even, measured with one
-# OpenBLAS thread on a 2-vCPU host: one expanded pair-edge costs about as much
-# as 500 multiply-adds of the product.  Kernel time over the benchmark's
-# deep (WS/GEO n=500) and scale-free (BA/DM n=1000) graphs of two seeds was
-# flat within 3% from 350 to 700, 1-9% slower at 250 and 9-45% slower at 1000.
-# The dense product earns its place on wide levels: with every level forced
-# sparse, the scale-free benchmark's features stage ran 16% slower, and
-# betweenness ran 3.7x slower on BA n=1000 k=40 and 19x on ER n=500 k=200.
+# Each BFS level moves one of three ways.  Push scatters the level's pairs onto
+# their nodes' neighbors; its edge work is the summed degree of those nodes.
+# Pull has each pair that can receive gather from its node's neighbors; its
+# edge work is the summed degree of the receiving pairs' nodes.  The cheaper
+# of the two runs, unless even that reaches n**3 / _SPARSE_RATIO: then the
+# level runs one dense n x n product.  Break-even, measured with one OpenBLAS
+# thread on a 2-vCPU host: one pair-edge costs about as much as 500
+# multiply-adds of the product.  Kernel time over the benchmark's deep (WS/GEO
+# n=500) and scale-free (BA/DM n=1000) graphs of two seeds, in four
+# alternating runs, was flat within about 5% from 350 to 500; at 700 the deep
+# graphs ran 10-15% slower, and at 1000 the scale-free graphs ran about 10%
+# and the deep ones about 20% slower.  The product still earns its place on
+# levels where both directions are wide: without it the scale-free graphs ran
+# 3-10% slower, and betweenness on ER n=500 k=200 ran 18x slower.
 _SPARSE_RATIO = 500
 
 
-def _expand(pairs, weights, k, g):
-    """Sum each (source, node) pair's weight onto the node's neighbors in g.
+def _method(push_work, pull_work, n):
+    """How one BFS level moves, given its push and pull edge work."""
+    if min(push_work, pull_work) >= n**3 / _SPARSE_RATIO:
+        return "dense"
+    return "push" if push_work <= pull_work else "pull"
 
-    ``pairs`` are flat indices ``s * n + v`` and ``k`` the degree of each
-    pair's node.  Returns the flat n * n float array whose entry ``s * n + u``
-    is the sum of ``weights[i]`` over the pairs ``s * n + v`` with u adjacent
-    to v, summed in pair order.
+
+def _runs(k, n):
+    """Cut pairs of degrees ``k`` into consecutive runs of about n*n/2
+    pair-edges, which keeps the temporaries of a run within one dense matrix."""
+    step = max(n * n // 2, 1)
+    ends = np.cumsum(k)
+    total = ends[-1] if ends.size else 0
+    cuts = [0, *np.searchsorted(ends, np.arange(step, total, step)), k.size]
+    return zip(cuts[:-1], cuts[1:])
+
+
+def _neighbor_pairs(pairs, k, g):
+    """Flat indices ``s * n + u`` of every neighbor u of each pair ``s * n + v``.
+
+    ``k`` is the degree of each pair's node; the neighbors come pair by pair,
+    in CSR order.
     """
     n = g.n
     v = pairs % n
@@ -82,10 +104,46 @@ def _expand(pairs, weights, k, g):
     pos += np.arange(pos.size)
     nbrs = g.indices[pos]
     del pos
-    targets = np.repeat(pairs - v, k)
-    targets += nbrs
-    del nbrs
-    return np.bincount(targets, weights=np.repeat(weights, k), minlength=n * n)
+    out = np.repeat(pairs - v, k)
+    out += nbrs
+    return out
+
+
+def _push(pairs, weights, k, g):
+    """Sum each pair's weight onto its node's neighbors (one BFS level, top-down).
+
+    Returns the flat n * n float array whose entry ``s * n + u`` is the sum of
+    ``weights[i]`` over the pairs ``s * n + v`` with u adjacent to v, summed
+    in pair order.
+    """
+    out = None
+    for lo, hi in _runs(k, g.n):
+        part = np.bincount(
+            _neighbor_pairs(pairs[lo:hi], k[lo:hi], g),
+            weights=np.repeat(weights[lo:hi], k[lo:hi]),
+            minlength=g.n * g.n,
+        )
+        if out is None:
+            out = part
+        else:
+            out += part
+        del part
+    return out
+
+
+def _pull(targets, values, k, g):
+    """For each target pair ``s * n + u``, the sum of ``values[s * n + v]``
+    over the neighbors v of u (one BFS level, bottom-up).
+
+    ``k`` is the degree of each target's node and must be positive.
+    """
+    out = np.empty(targets.size)
+    for lo, hi in _runs(k, g.n):
+        kk = k[lo:hi]
+        out[lo:hi] = np.add.reduceat(
+            values[_neighbor_pairs(targets[lo:hi], kk, g)], np.cumsum(kk) - kk
+        )
+    return out
 
 
 def _shortest_paths(g: Graph, with_betweenness: bool = False):
@@ -102,52 +160,74 @@ def _shortest_paths(g: Graph, with_betweenness: bool = False):
 
     Both passes move one level at a time over the (source, node) pairs at
     that distance, held as flat indices ``s * n + v``, and each level picks
-    its own method by its edge work (see ``_SPARSE_RATIO``).  The flat n * n
-    arrays are dense whichever method runs, so ``g`` is held to the same size
-    cap as :func:`adjacency_matrix`.
+    push, pull or the dense product by its edge work (see ``_SPARSE_RATIO``).
+    The flat n * n arrays are dense whichever method runs, so ``g`` is held
+    to the same size cap as :func:`adjacency_matrix`.
     """
     require_dense_size(g)
     n = g.n
     deg = degree_vector(g)
-    dense = None
+    # ``out``, the n x n result of the last push or product, stays alive until
+    # the next level replaces it.  Freed at once, its pages went back to the
+    # system and were faulted in again by the next level: on the deep
+    # benchmark graphs that doubled the page faults and cost more time than
+    # pull saved.  Once spent it holds the weights a pull or product reads.
+    dense = out = None
 
-    def spread(pairs, weights):
-        # What _expand returns, from the expansion or from one dense product.
-        nonlocal dense
-        k = deg[pairs % n]
-        if k.sum() >= n**3 / _SPARSE_RATIO:
-            del k
-            if dense is None:
-                dense = adjacency_matrix(g).astype(np.float64)
-            m = np.zeros(n * n)
-            m[pairs] = weights
-            return (m.reshape(n, n) @ dense).ravel()
-        # Runs of about n*n/2 pair-edges keep the temporaries of the
-        # expansion within one dense matrix.
-        step = max(n * n // 2, 1)
-        ends = np.cumsum(k)
-        cuts = [0, *np.searchsorted(ends, np.arange(step, ends[-1], step)), pairs.size]
-        del ends
-        out = _expand(pairs[: cuts[1]], weights[: cuts[1]], k[: cuts[1]], g)
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            out += _expand(pairs[lo:hi], weights[lo:hi], k[lo:hi], g)
+    def spent(pairs, weights):
+        # ``out`` overwritten with the weights on their pairs, 0 elsewhere.
+        nonlocal out
+        if out is None:
+            out = np.zeros(n * n)
+        else:
+            out.fill(0.0)
+        out[pairs] = weights
         return out
+
+    def product(pairs, weights):
+        # What _push returns, from one dense product.
+        nonlocal dense
+        if dense is None:
+            dense = adjacency_matrix(g).astype(np.float64)
+        return (spent(pairs, weights).reshape(n, n) @ dense).ravel()
 
     dist = np.full(n * n, -1, dtype=np.int32)
     sigma = np.zeros(n * n)
     frontier = np.arange(n) * (n + 1)  # each source at distance 0
     dist[frontier] = 0
     sigma[frontier] = 1.0
+    # work[d] is the push work of level d; the pull work of the next forward
+    # level is the summed degree of the pairs not reached yet
+    work = [int(deg.sum())]
+    unreached = (n - 1) * work[0]
     depth = 0
     while True:
-        counts = spread(frontier, sigma[frontier])
-        frontier = np.flatnonzero((counts > 0) & (dist < 0))
+        how = _method(work[depth], unreached, n)
+        if how == "pull":
+            # An unreached pair's neighbors lie at this depth or deeper, and
+            # deeper pairs still have sigma 0, so sigma is gathered unmasked.
+            frontier = np.flatnonzero(dist < 0)
+            frontier = frontier[deg[frontier % n] > 0]
+            counts = _pull(frontier, sigma, deg[frontier % n], g)
+            hit = counts > 0
+            frontier, counts = frontier[hit], counts[hit]
+        else:
+            if how == "push":
+                out = _push(frontier, sigma[frontier], deg[frontier % n], g)
+            else:
+                out = product(frontier, sigma[frontier])
+            frontier = np.flatnonzero((out > 0) & (dist < 0))
+            counts = out[frontier]
         if not frontier.size:
             break
         depth += 1
         dist[frontier] = depth
-        sigma[frontier] = counts[frontier]
-    del counts
+        sigma[frontier] = counts
+        del counts
+        work.append(int(deg[frontier % n].sum()))
+        unreached -= work[depth]
+    del counts, frontier
+    out = None
     if not with_betweenness:
         return dist.reshape(n, n), sigma.reshape(n, n), None
 
@@ -161,14 +241,28 @@ def _shortest_paths(g: Graph, with_betweenness: bool = False):
         )
     # Dependencies are written one level at a time, deepest first: a pair's
     # entry is final once the level above it has been spread back onto it.
+    # Spreading level L onto L - 1 pushes from L or pulls into L - 1.  The
+    # sources' own dependencies (level 0) are never needed.
     delta = np.zeros(n * n)
     level = np.flatnonzero(dist == depth)
-    for lev in range(depth, 0, -1):
-        contrib = spread(level, (1.0 + delta[level]) * (1.0 / sigma[level]))
+    for lev in range(depth, 1, -1):
+        weights = (1.0 + delta[level]) * (1.0 / sigma[level])
+        how = _method(work[lev], work[lev - 1], n)
+        if how == "push":
+            out = _push(level, weights, deg[level % n], g)
+        elif how == "dense":
+            out = product(level, weights)
+        else:
+            spent(level, weights)
+        del weights, level
         level = np.flatnonzero(dist == lev - 1)
-        delta[level] = sigma[level] * contrib[level]
-    delta = delta.reshape(n, n)
-    bet = (delta.sum(axis=0) - np.diag(delta)) / 2.0
+        if how == "pull":
+            contrib = _pull(level, out, deg[level % n], g)
+        else:
+            contrib = out[level]
+        delta[level] = sigma[level] * contrib
+        del contrib
+    bet = delta.reshape(n, n).sum(axis=0) / 2.0
     return dist.reshape(n, n), sigma.reshape(n, n), bet
 
 
@@ -348,8 +442,3 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
             parts.append(metric_histogram(clustering(g), "cc"))
     return np.concatenate(parts)
 
-
-def structural_length(which="combined") -> int:
-    """Output length of :func:`structural_features` for a selection."""
-    sel = set(METRIC_ORDER) if which == "combined" else set(which)
-    return sum(1 if mid == "d" else HIST_BINS for mid in METRIC_ORDER if mid in sel)

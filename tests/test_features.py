@@ -16,6 +16,7 @@ from netclass import (
     read_feature_csv,
     render_pgm,
     sorted_adjacency,
+    structural_features,
     write_feature_csv,
 )
 
@@ -25,14 +26,14 @@ from netclass import (
 
 
 def test_extractor_length_contract():
-    from netclass.features import EXTRACTOR_LENGTHS
-
-    assert EXTRACTOR_LENGTHS == {
-        "projection": 2500,
-        "clbp": 200,
-        "hu": 7,
-        "structural": 3001,
-    }
+    # each extractor's row length is fixed, whatever the graph's size
+    for n in (5, 40):
+        g = from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+        image = sorted_adjacency(g)
+        assert projection(degree_vector(g)[np.newaxis]).shape == (2500,)
+        assert clbp_features(image).shape == (200,)
+        assert hu_moments(image).shape == (7,)
+        assert structural_features(g).shape == (3001,)
 
 
 def test_projection_of_sorted_star():

@@ -23,7 +23,7 @@ from netclass import (
     structural_features,
 )
 from netclass.generators import GenSpec
-from netclass.metrics import HIST_BINS, structural_length
+from netclass.metrics import HIST_BINS
 
 
 def p3():
@@ -222,8 +222,7 @@ def test_structural_feature_lengths():
     assert structural_features(g, ["k"]).shape == (HIST_BINS,)
     combined = structural_features(g)
     assert combined.shape == (6 * HIST_BINS + 1,) == (3001,)
-    assert structural_length() == 3001
-    assert structural_length(["k", "d"]) == 501
+    assert structural_features(g, ["k", "d"]).shape == (501,)
     with pytest.raises(ValueError):
         structural_features(g, ["nope"])
     with pytest.raises(ValueError):

@@ -1,15 +1,15 @@
 """Differential tests of the shortest-path kernel behind every distance metric,
 and of the local metrics on the same graphs.
 
-Each BFS level of the kernel either expands its (source, node) pairs over
-neighbor arrays or runs a dense matrix product, chosen by the level's edge
-work.  The tests force each branch by setting ``_SPARSE_RATIO`` (1 sends every
-level to the sparse expansion, infinity every level to the product) and check
-both, and the default mix, against the brute-force oracles, against networkx
-and against each other.
+Each BFS level of the kernel pushes its (source, node) pairs onto their
+neighbors, pulls into the pairs that can receive from their neighbors, or runs
+a dense matrix product, chosen by the edge work of push and pull.  The tests
+force each method on every level by replacing the choice function
+``metrics._method`` and check all three, and the default mix, against the
+brute-force oracles, against networkx and against each other.
 """
 
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,13 +33,18 @@ from netclass import metrics
 from netclass.generators import preset_rows
 from netclass.graph import MAX_DENSE_SIZE, GraphInputError, adjacency_matrix
 
-FORCED_RATIO = {"sparse": 1, "dense": math.inf}
+# test id -> the method forced on every level ("sparse" is the top-down push)
+FORCED = {"sparse": "push", "pull": "pull", "dense": "dense"}
 
 
-@pytest.fixture(params=["sparse", "default", "dense"])
+def _force(monkeypatch, method):
+    monkeypatch.setattr(metrics, "_method", lambda push_work, pull_work, n: method)
+
+
+@pytest.fixture(params=["default", *sorted(FORCED)])
 def branch(request, monkeypatch):
-    if request.param in FORCED_RATIO:
-        monkeypatch.setattr(metrics, "_SPARSE_RATIO", FORCED_RATIO[request.param])
+    if request.param in FORCED:
+        _force(monkeypatch, FORCED[request.param])
     return request.param
 
 
@@ -60,38 +65,71 @@ def _disconnected():
     return from_edge_list(g.n + 5, g.edges())
 
 
-# name -> (graph constructor, whether any level runs the dense product by default)
-LARGE = {
-    "ws500": (lambda: generate(GenSpec("WS", 500, 4, seed=3)), False),
-    "ba1000": (lambda: generate(preset_rows("scalefree-desk", 7, count_override=1)[1].spec), True),
-    "disconnected": (_disconnected, False),
+def _scalefree(index):
+    return lambda: generate(preset_rows("scalefree-desk", 7, count_override=1)[index].spec)
+
+
+GRAPHS = {
+    "ws500": lambda: generate(GenSpec("WS", 500, 4, seed=3)),
+    "ba1000": _scalefree(1),
+    "ba1000-linear": _scalefree(0),
+    "disconnected": _disconnected,
+}
+
+# The method each level takes by default, run-length coded: the forward
+# levels, the last of which finds nothing new, then the backward ones.
+LEVELS = {
+    "ws500": "push*10 pull*7 | push*8 pull*7",
+    "ba1000": "push*3 pull*3 | push*2 pull*2",
+    "ba1000-linear": "push*3 dense pull*3 | push*2 dense pull*2",
+    "disconnected": "push*20 | push*11 pull*7",
 }
 
 
-@pytest.fixture(scope="module", params=sorted(LARGE))
-def large(request):
-    build, goes_dense = LARGE[request.param]
-    g = build()
-    return g, goes_dense, metrics._shortest_paths(g, with_betweenness=True)
+def _run_lengths(methods):
+    runs = []
+    for m in methods:
+        if runs and runs[-1][0] == m:
+            runs[-1][1] += 1
+        else:
+            runs.append([m, 1])
+    return " ".join(m if c == 1 else f"{m}*{c}" for m, c in runs)
 
 
-def test_large_graph_levels_take_expected_branch(large, monkeypatch):
-    g, goes_dense, _ = large
+@pytest.mark.parametrize("name", sorted(LEVELS))
+def test_large_graph_levels_take_expected_branch(name, monkeypatch):
+    chosen = []
+    choose = metrics._method
+
+    def recording(push_work, pull_work, n):
+        chosen.append(choose(push_work, pull_work, n))
+        return chosen[-1]
+
     built = []
 
     def counting(graph):
         built.append(graph.n)
         return adjacency_matrix(graph)
 
+    monkeypatch.setattr(metrics, "_method", recording)
     monkeypatch.setattr(metrics, "adjacency_matrix", counting)
-    metrics._shortest_paths(g, with_betweenness=True)
-    assert bool(built) == goes_dense
+    dist, _, _ = metrics._shortest_paths(GRAPHS[name](), with_betweenness=True)
+    forward = int(dist.max()) + 1
+    assert f"{_run_lengths(chosen[:forward])} | {_run_lengths(chosen[forward:])}" == LEVELS[name]
+    # the dense matrix is built only for a level that runs the product
+    assert bool(built) == ("dense" in chosen)
 
 
-@pytest.mark.parametrize("forced", sorted(FORCED_RATIO))
+@pytest.fixture(scope="module", params=["ba1000", "disconnected", "ws500"])
+def large(request):
+    g = GRAPHS[request.param]()
+    return g, metrics._shortest_paths(g, with_betweenness=True)
+
+
+@pytest.mark.parametrize("forced", sorted(FORCED))
 def test_large_graph_branches_agree(large, forced, monkeypatch):
-    g, _, (dist, sigma, bet) = large
-    monkeypatch.setattr(metrics, "_SPARSE_RATIO", FORCED_RATIO[forced])
+    g, (dist, sigma, bet) = large
+    _force(monkeypatch, FORCED[forced])
     f_dist, f_sigma, f_bet = metrics._shortest_paths(g, with_betweenness=True)
     assert np.array_equal(f_dist, dist)
     assert np.array_equal(f_sigma, sigma)
@@ -100,14 +138,14 @@ def test_large_graph_branches_agree(large, forced, monkeypatch):
 
 
 def test_large_graph_matches_oracles(large):
-    g, _, (dist, sigma, _) = large
+    g, (dist, sigma, _) = large
     assert np.array_equal(dist, oracles.bfs_distances(g))
     assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
 
 
 def test_large_graph_matches_networkx(large):
     nx = pytest.importorskip("networkx")
-    g, _, (dist, _, bet) = large
+    g, (dist, _, bet) = large
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges())
@@ -161,3 +199,19 @@ def test_size_cap_applies_without_a_dense_level():
     for which in (["bet"], ["d"], "combined"):
         with pytest.raises(GraphInputError, match="cap"):
             structural_features(g, which)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_hub_heavy_peak_memory(index):
+    # The BA cells of scalefree-desk, one per attachment exponent.  The kernel
+    # peaks at 6.4-8.5 n x n float64 arrays on them; holding the per-pair
+    # degrees across a dense product, or pulling densely over every unreached
+    # pair, reaches 11.
+    g = _scalefree(index)()
+    tracemalloc.start()
+    try:
+        metrics._shortest_paths(g, with_betweenness=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * g.n * g.n * 8
