@@ -13,16 +13,13 @@ from .classify import (
     LabeledDataset,
     auc_ovr,
     evaluate,
-    knn_predict,
     stratified_kfold,
-    svm_predict,
     svm_train,
 )
 from .features import (
     FeatureError,
     clbp_features,
     hu_moments,
-    load_external_features,
     projection,
     read_feature_csv,
     render_pgm,
@@ -31,12 +28,6 @@ from .features import (
 from .generators import (
     GenSpec,
     InvalidSpecError,
-    gen_barabasi_albert,
-    gen_dataset,
-    gen_dorogovtsev_mendes,
-    gen_erdos_renyi,
-    gen_geographic,
-    gen_watts_strogatz,
     generate,
     preset_rows,
 )
@@ -44,7 +35,6 @@ from .graph import (
     Graph,
     GraphInputError,
     adjacency_matrix,
-    cocitation,
     degree_vector,
     from_edge_list,
     read_edge_list,
@@ -88,22 +78,13 @@ __all__ = [
     "clbp_features",
     "closeness",
     "clustering",
-    "cocitation",
     "degree_vector",
     "diameter",
     "eccentricity",
     "evaluate",
     "from_edge_list",
-    "gen_barabasi_albert",
-    "gen_dataset",
-    "gen_dorogovtsev_mendes",
-    "gen_erdos_renyi",
-    "gen_geographic",
-    "gen_watts_strogatz",
     "generate",
     "hu_moments",
-    "knn_predict",
-    "load_external_features",
     "metric_histogram",
     "node_ranking",
     "preset_rows",
@@ -114,7 +95,6 @@ __all__ = [
     "sorted_adjacency",
     "stratified_kfold",
     "structural_features",
-    "svm_predict",
     "svm_train",
     "write_edge_list",
     "write_feature_csv",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,22 +119,16 @@ def stratified_kfold(labels, k: int = 10, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def _knn_scores(train_x, train_y, n_classes, query, k):
+def _knn_scores(train_x, train_y, n_classes, query):
+    """Nearest-neighbor class index and per-class scores ``1 / (1 + distance)``.
+
+    Euclidean distance; the prediction is the nearest training point's
+    class, distance ties broken by the lower training index.  The scores use
+    each class's nearest training point, giving a monotone ranking suitable
+    for ROC analysis.
+    """
     d = np.sqrt(((train_x - query) ** 2).sum(axis=1))
-    if k == 1:
-        pred = int(train_y[int(np.argmin(d))])  # argmin: ties -> lower index
-    else:
-        nearest = np.argsort(d, kind="stable")[:k]
-        votes = np.bincount(train_y[nearest], minlength=n_classes)
-        top = np.flatnonzero(votes == votes.max())
-        if top.size == 1:
-            pred = int(top[0])
-        else:
-            # vote tie: the tied class holding the single closest point wins
-            for i in nearest:
-                if train_y[i] in top:
-                    pred = int(train_y[i])
-                    break
+    pred = int(train_y[int(np.argmin(d))])  # argmin: ties -> lower index
     scores = np.empty(n_classes)
     for c in range(n_classes):
         dc = d[train_y == c]
@@ -142,32 +136,13 @@ def _knn_scores(train_x, train_y, n_classes, query, k):
     return pred, scores
 
 
-def knn_predict(train: LabeledDataset, query, k: int = 1):
-    """Nearest-neighbor label plus a per-class score ``1 / (1 + distance)``.
-
-    Euclidean distance; with ``k = 1`` the prediction is the nearest training
-    point's label, distance ties broken by the lower training index.  The
-    scores use each class's nearest training point, giving a monotone
-    ranking suitable for ROC analysis.
-    """
-    if len(train) == 0:
-        raise DatasetError("empty training set")
-    query = np.asarray(query, dtype=np.float64).ravel()
-    if query.shape[0] != train.features.shape[1]:
-        raise DatasetError(
-            f"query has {query.shape[0]} features, training set has "
-            f"{train.features.shape[1]}"
-        )
-    classes = train.classes
-    pred, scores = _knn_scores(
-        train.features, train.label_indices(), len(classes), query, k
-    )
-    return classes[pred], {c: float(s) for c, s in zip(classes, scores)}
-
-
 # ---------------------------------------------------------------------------
 # Linear SVM (one-vs-rest, hinge-loss subgradient descent)
 # ---------------------------------------------------------------------------
+
+# Soft-margin constant and training epochs: the settings of every experiment.
+SVM_C = 1.0
+SVM_EPOCHS = 30
 
 
 @dataclass
@@ -177,9 +152,6 @@ class SvmModel:
     scale: np.ndarray
     keep: np.ndarray
     weights: np.ndarray  # (n_classes, kept_dims + 1); last column is the bias
-    c: float
-    epochs: int
-    seed: int
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -190,17 +162,17 @@ class SvmModel:
         return self.transform(x) @ self.weights.T
 
 
-def svm_train(train: LabeledDataset, c: float = 1.0, epochs: int = 30,
-              seed: int = 0) -> SvmModel:
+def svm_train(train: LabeledDataset, seed: int = 0) -> SvmModel:
     """Train one-vs-rest linear classifiers on standardized features.
 
     Features are standardized per dimension with the training mean and
     variance; zero-variance dimensions are dropped.  Each class's hinge-loss
-    primal (regularization ``lambda = 1 / (c * m)``) is minimized by seeded
-    subgradient descent with the step schedule ``eta_t = 1 / (lambda * t)``
-    over a fixed number of epochs, one seeded shuffle of the examples per
-    epoch; all classes share the example order, so training is one pass of
-    vectorized updates.  The bias rides along as a constant appended feature.
+    primal (regularization ``lambda = 1 / (SVM_C * m)``) is minimized by
+    seeded subgradient descent with the step schedule
+    ``eta_t = 1 / (lambda * t)`` over ``SVM_EPOCHS`` epochs, one seeded
+    shuffle of the examples per epoch; all classes share the example order,
+    so training is one pass of vectorized updates.  The bias rides along as
+    a constant appended feature.
     """
     x = np.asarray(train.features, dtype=np.float64)
     _check_features(x)
@@ -217,11 +189,11 @@ def svm_train(train: LabeledDataset, c: float = 1.0, epochs: int = 30,
     y_idx = train.label_indices()
     signs = np.where(y_idx[None, :] == np.arange(len(classes))[:, None], 1.0, -1.0)
 
-    lam = 1.0 / (c * m)
+    lam = 1.0 / (SVM_C * m)
     w = np.zeros((len(classes), z.shape[1]))
     rng = make_rng(mix_seed(seed, 0x5F4))
     t = 0
-    for _ in range(epochs):
+    for _ in range(SVM_EPOCHS):
         for i in rng.permutation(m):
             t += 1
             eta = 1.0 / (lam * t)
@@ -231,15 +203,7 @@ def svm_train(train: LabeledDataset, c: float = 1.0, epochs: int = 30,
             w *= 1.0 - eta * lam
             if violated.any():
                 w[violated] += eta * s[violated, None] * xi
-    return SvmModel(classes, mean, scale, keep, w, c, epochs, seed)
-
-
-def svm_predict(model: SvmModel, vector):
-    """Predicted label and per-class decision values; ties go to class order."""
-    decisions = model.decision_values(vector)[0]
-    return model.classes[int(np.argmax(decisions))], {
-        c: float(d) for c, d in zip(model.classes, decisions)
-    }
+    return SvmModel(classes, mean, scale, keep, w)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +285,6 @@ class ExperimentReport:
     confusion: np.ndarray
     auc_per_class: dict
     auc_macro: float | None
-    predictions: list[str] = field(default_factory=list, repr=False)
 
     def summary_cell(self) -> str:
         return f"{self.mean_ccr:.2f} ({self.std_ccr:.2f})"
@@ -355,8 +318,7 @@ class ExperimentReport:
 
 
 def evaluate(dataset: LabeledDataset, classifier: str = "knn", folds: int = 10,
-             seed: int = 0, knn_k: int = 1, svm_c: float = 1.0,
-             svm_epochs: int = 30) -> ExperimentReport:
+             seed: int = 0) -> ExperimentReport:
     """Stratified k-fold cross-validation of a classifier over the dataset.
 
     Each fold trains on the rest and predicts the held-out tenth; fold
@@ -385,15 +347,14 @@ def evaluate(dataset: LabeledDataset, classifier: str = "knn", folds: int = 10,
         if classifier == "knn":
             tx, ty = x[train_idx], y[train_idx]
             for i in test_idx:
-                pred[i], scores[i] = _knn_scores(tx, ty, n_classes, x[i], knn_k)
+                pred[i], scores[i] = _knn_scores(tx, ty, n_classes, x[i])
         else:
             sub = LabeledDataset(
                 x[train_idx],
                 tuple(dataset.labels[i] for i in train_idx),
                 dataset.extractor,
             )
-            model = svm_train(sub, c=svm_c, epochs=svm_epochs,
-                              seed=mix_seed(seed, 0xCF, f))
+            model = svm_train(sub, seed=mix_seed(seed, 0xCF, f))
             dec = model.decision_values(x[test_idx])
             # the stratified fold keeps every class in the training split,
             # so the model's class order matches the dataset's
@@ -421,5 +382,4 @@ def evaluate(dataset: LabeledDataset, classifier: str = "knn", folds: int = 10,
         confusion,
         auc_per_class,
         auc_macro,
-        predictions=[classes[p] for p in pred],
     )

@@ -4,11 +4,13 @@ features, classify.
 Stages communicate through files (edge lists + manifest, feature CSVs, JSON
 reports) so each stage is independently testable and externally computed
 features can enter at the CSV boundary.  All randomness flows from ``--seed``
-and every run with the same flags is byte-identical.  ``NETCLASS_THREADS``
-sets the worker count for feature extraction.  On Linux the workers are
-forked from the CLI process, so they run the code it has loaded; elsewhere
-they are spawned as fresh interpreters.  Output bytes depend on neither the
-worker count nor the start method.
+and every run with the same flags is byte-identical.  ``classify`` sets only
+the classifier, fold count and seed: ``knn`` is 1-NN, and ``svm`` trains with
+the constants ``classify.SVM_C`` and ``classify.SVM_EPOCHS``.
+``NETCLASS_THREADS`` sets the worker count for feature extraction.  On Linux
+the workers are forked from the CLI process, so they run the code it has
+loaded; elsewhere they are spawned as fresh interpreters.  Output bytes
+depend on neither the worker count nor the start method.
 """
 
 from __future__ import annotations
@@ -164,9 +166,6 @@ def cmd_classify(args) -> int:
             classifier=args.classifier,
             folds=args.folds,
             seed=args.seed,
-            knn_k=args.knn_k,
-            svm_c=args.svm_c,
-            svm_epochs=args.svm_epochs,
         )
     except DatasetError as exc:
         raise DatasetError(f"{args.features}: {exc}") from None
@@ -215,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="report JSON path")
     p.add_argument("--extractor-id", default="external",
                    help="extractor name recorded in the report")
-    p.add_argument("--knn-k", type=int, default=1)
-    p.add_argument("--svm-c", type=float, default=1.0)
-    p.add_argument("--svm-epochs", type=int, default=30)
     p.set_defaults(func=cmd_classify)
     return parser
 

@@ -28,17 +28,18 @@ class FeatureError(ValueError):
     """Descriptor preconditions violated (wrong size, empty image, bad CSV)."""
 
 
-def projection(aprime: np.ndarray, length: int = PROJECTION_LENGTH) -> np.ndarray:
+def projection(aprime: np.ndarray) -> np.ndarray:
     """Column sums of the matrix in descending order, zero-padded on the
-    right to ``length``.  Any row/column permutation gives the same vector."""
+    right to ``PROJECTION_LENGTH``.  Any row/column permutation gives the
+    same vector; a matrix wider than ``PROJECTION_LENGTH`` is refused."""
     m = np.asarray(aprime)
     size = m.shape[1]
-    if size > length:
+    if size > PROJECTION_LENGTH:
         raise FeatureError(
-            f"matrix size {size} exceeds the projection length {length}; "
-            f"pass a larger length"
+            f"projection supports graphs of at most {PROJECTION_LENGTH} nodes, "
+            f"got {size}"
         )
-    out = np.zeros(length, dtype=np.float64)
+    out = np.zeros(PROJECTION_LENGTH, dtype=np.float64)
     out[:size] = np.sort(m.sum(axis=0))[::-1]
     return out
 
@@ -237,11 +238,3 @@ def read_feature_csv(path):
     if not rows:
         raise FeatureError(f"{path}: no feature rows")
     return labels, np.array(rows)
-
-
-def load_external_features(path):
-    """Load externally computed features as a classification dataset."""
-    from .classify import LabeledDataset
-
-    labels, feats = read_feature_csv(path)
-    return LabeledDataset(feats, tuple(labels), extractor="external")

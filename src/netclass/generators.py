@@ -23,7 +23,7 @@ descriptions alone: all draws come from one PCG64 stream seeded with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -288,28 +288,6 @@ def dataset_seed(base_seed: int, model: str, n: int, k_bar: int,
         float_bits(alpha if alpha is not None else 0.0),
         replicate,
     )
-
-
-def gen_dataset(grid, count_per_cell: int, base_seed: int, labels=None):
-    """Generate ``count_per_cell`` replicates of every template in ``grid``.
-
-    Each replicate's seed is derived with :func:`dataset_seed`, so the result
-    is independent of generation order and identical across runs.  ``labels``
-    optionally names each template's class; the default is the model name.
-
-    Returns a list of ``(Graph, label)`` pairs, grid-major then replicate.
-    """
-    if not grid:
-        raise InvalidSpecError("empty generator grid")
-    if labels is None:
-        labels = [spec.model for spec in grid]
-    out = []
-    for template, label in zip(grid, labels):
-        for rep in range(count_per_cell):
-            seed = dataset_seed(base_seed, template.model, template.n,
-                                template.k_bar, template.alpha, rep)
-            out.append((generate(replace(template, seed=seed)), label))
-    return out
 
 
 # ---------------------------------------------------------------------------

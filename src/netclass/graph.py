@@ -1,5 +1,5 @@
-"""Undirected simple graphs in compressed sparse row (CSR) form, their
-adjacency matrices, and shared-neighbor matrix products.
+"""Undirected simple graphs in compressed sparse row (CSR) form and their
+adjacency matrices.
 
 Nodes are dense 0-based indices.  Graphs hold read-only arrays, so they are
 immutable and safe to share across workers; :func:`from_edge_list` is the
@@ -128,18 +128,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 def degree_vector(g: Graph) -> np.ndarray:
     """Per-node degree (int64); the sum equals twice the edge count."""
     return np.diff(g.indptr)
-
-
-def cocitation(g: Graph) -> np.ndarray:
-    """Shared-neighbor counts ``A @ A.T`` over the integers.
-
-    Entry ``(i, j)`` counts common neighbors of ``i`` and ``j``; the diagonal
-    holds node degrees.  Mostly of interest for directed networks, where it
-    symmetrizes the structure; for the undirected graphs here it is symmetric
-    and equals bibliographic coupling ``A.T @ A``.
-    """
-    a = adjacency_matrix(g).astype(np.int64)
-    return a @ a.T
 
 
 def read_text_lines(path, error: type[ValueError]) -> list[str]:

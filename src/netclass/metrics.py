@@ -395,8 +395,10 @@ def metric_histogram(values, metric_id: str) -> np.ndarray:
 def structural_features(g: Graph, which="combined") -> np.ndarray:
     """Concatenated histogram features for a selection of metrics.
 
-    ``which`` is ``"combined"`` (all seven) or an iterable of metric ids; the
-    output always follows the canonical order ``pp, d, cl, ecc, bet, k, cc``.
+    ``which`` is ``"combined"`` (all seven) or an iterable of metric ids,
+    such as ``["k", "d"]``; any other string is refused rather than read as
+    characters.  The output always follows the canonical order
+    ``pp, d, cl, ecc, bet, k, cc``.
     Each per-node metric contributes its 500-bin histogram; diameter
     contributes one raw value divided by 100, so the combined vector has
     length 3001.
@@ -409,6 +411,11 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
     """
     if which == "combined":
         sel = set(METRIC_ORDER)
+    elif isinstance(which, str):
+        raise ValueError(
+            f'metric selection {which!r} must be "combined" or a list of metric '
+            f"ids, such as ['k', 'd']"
+        )
     else:
         sel = set(which)
         unknown = sel - set(METRIC_ORDER)

@@ -314,7 +314,8 @@ def test_criterion_7_image_feature_oracles():
 
 
 def test_criterion_8_classifier_oracles(workdir, capsys):
-    from netclass import LabeledDataset, auc_ovr, evaluate, knn_predict
+    from netclass import LabeledDataset, auc_ovr, evaluate
+    from netclass.classify import _knn_scores
 
     rng = np.random.default_rng(808)
     for _ in range(50):
@@ -325,8 +326,9 @@ def test_criterion_8_classifier_oracles(workdir, capsys):
         if len(set(y)) < 2:
             continue
         q = rng.integers(0, 4, size=d).astype(float)
-        label, _ = knn_predict(LabeledDataset(x, tuple(y)), q)
-        assert label == oracles.knn_oracle(x, y, q)
+        train = LabeledDataset(x, tuple(y))
+        pred, _ = _knn_scores(x, train.label_indices(), len(train.classes), q)
+        assert train.classes[pred] == oracles.knn_oracle(x, y, q)
         scores = np.round(rng.random((m, 1)), 1)
         per, _ = auc_ovr(scores, y, ("a",))
         expected = oracles.auc_pairwise(scores[:, 0], [l == "a" for l in y])

@@ -7,11 +7,10 @@ from netclass import (
     LabeledDataset,
     auc_ovr,
     evaluate,
-    knn_predict,
     stratified_kfold,
-    svm_predict,
     svm_train,
 )
+from netclass.classify import _knn_scores
 
 # ---------------------------------------------------------------------------
 # stratified folds
@@ -70,31 +69,34 @@ def _ds(x, y, extractor="external"):
     return LabeledDataset(np.asarray(x, dtype=float), tuple(y), extractor)
 
 
+def _nearest(train, query):
+    """The 1-NN label and per-class scores ``evaluate`` computes for a query."""
+    classes = train.classes
+    pred, scores = _knn_scores(train.features, train.label_indices(), len(classes),
+                               np.asarray(query, dtype=float))
+    return classes[pred], dict(zip(classes, scores))
+
+
 def test_knn_exact_match_wins():
     train = _ds([[0.0], [10.0]], ["a", "b"])
-    label, scores = knn_predict(train, [10.0])
+    label, scores = _nearest(train, [10.0])
     assert label == "b"
     assert scores["b"] == 1.0  # distance zero
 
 
 def test_knn_nearer_point_wins():
     train = _ds([[0.0], [10.0]], ["a", "b"])
-    label, _ = knn_predict(train, [1.0])
+    label, _ = _nearest(train, [1.0])
     assert label == "a"
 
 
 def test_knn_tie_goes_to_lower_index():
     train = _ds([[1.0], [-1.0]], ["a", "b"])
-    label, _ = knn_predict(train, [0.0])
+    label, _ = _nearest(train, [0.0])
     assert label == "a"
     train = _ds([[-1.0], [1.0]], ["b", "a"])
-    label, _ = knn_predict(train, [0.0])
+    label, _ = _nearest(train, [0.0])
     assert label == "b"
-
-
-def test_knn_dimension_mismatch():
-    with pytest.raises(DatasetError):
-        knn_predict(_ds([[0.0, 1.0]], ["a", "a"]), [0.0])
 
 
 def test_knn_matches_oracle_battery():
@@ -108,7 +110,7 @@ def test_knn_matches_oracle_battery():
             continue
         train = _ds(x, y)
         q = rng.integers(0, 4, size=d).astype(float)
-        label, _ = knn_predict(train, q)
+        label, _ = _nearest(train, q)
         assert label == oracles.knn_oracle(x, y, q)
 
 
@@ -119,7 +121,7 @@ def test_knn_invariant_under_global_rescaling():
     train1, train2 = _ds(x, y), _ds(x * 7.5, y)
     for _ in range(10):
         q = rng.normal(size=4)
-        assert knn_predict(train1, q)[0] == knn_predict(train2, q * 7.5)[0]
+        assert _nearest(train1, q)[0] == _nearest(train2, q * 7.5)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +142,8 @@ def test_svm_separable_training_accuracy():
     x = np.array([[-1.0 - 0.1 * i] for i in range(10)] + [[1.0 + 0.1 * i] for i in range(10)])
     y = ["a"] * 10 + ["b"] * 10
     model = svm_train(_ds(x, y), seed=1)
-    preds = [svm_predict(model, row)[0] for row in x]
-    assert preds == y
+    best = np.argmax(model.decision_values(x), axis=1)
+    assert [model.classes[i] for i in best] == y
 
 
 def test_svm_deterministic():
@@ -158,10 +160,11 @@ def test_svm_constant_column_dropped():
     m_aug = svm_train(_ds(x_aug, y), seed=2)
     assert m_aug.keep.tolist() == [True, False]
     assert np.allclose(m_plain.weights, m_aug.weights)
+    assert m_plain.classes == m_aug.classes
     for q in (-3.0, -0.4, 0.7, 2.2):
         assert (
-            svm_predict(m_plain, np.array([q]))[0]
-            == svm_predict(m_aug, np.array([q, 3.25]))[0]
+            np.argmax(m_plain.decision_values([q]))
+            == np.argmax(m_aug.decision_values([q, 3.25]))
         )
 
 
@@ -170,11 +173,11 @@ def test_svm_affine_rescaling_absorbed():
     x, y = _blobs(5)
     m1 = svm_train(_ds(x, y), seed=3)
     m2 = svm_train(_ds(x * 2.0 + 0.5, y), seed=3)
+    assert m1.classes == m2.classes == ("a", "b")
     for q in (-2.0, -0.3, 0.4, 1.7):
-        d1 = svm_predict(m1, np.array([q]))[1]
-        d2 = svm_predict(m2, np.array([q * 2.0 + 0.5]))[1]
-        assert d1["a"] == pytest.approx(d2["a"], abs=1e-6)
-        assert d1["b"] == pytest.approx(d2["b"], abs=1e-6)
+        d1 = m1.decision_values([q])[0]
+        d2 = m2.decision_values([q * 2.0 + 0.5])[0]
+        assert d1 == pytest.approx(d2, abs=1e-6)
 
 
 def test_svm_errors():

@@ -35,8 +35,7 @@ def features(manifest, out):
 
 
 def classify(csv, classifier="knn"):
-    return run("classify", "--features", csv, "--classifier", classifier, "--folds", "2",
-               "--svm-epochs", "2")
+    return run("classify", "--features", csv, "--classifier", classifier, "--folds", "2")
 
 
 def assert_named(code, err, path, text):

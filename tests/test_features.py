@@ -11,7 +11,6 @@ from netclass import (
     degree_vector,
     from_edge_list,
     hu_moments,
-    load_external_features,
     projection,
     read_feature_csv,
     render_pgm,
@@ -59,9 +58,10 @@ def test_projection_is_sorted_degree_sequence():
 
 
 def test_projection_size_cap():
-    with pytest.raises(FeatureError, match="larger length"):
-        projection(np.zeros((4, 4)), length=3)
-    assert projection(np.ones((2, 2)), length=2).tolist() == [2, 2]
+    # a 1 x n degree row, as the features command passes it
+    with pytest.raises(FeatureError, match="at most 2500 nodes, got 2501"):
+        projection(np.ones((1, 2501)))
+    assert projection(np.ones((1, 2500))).tolist() == [1.0] * 2500
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +203,28 @@ def test_feature_csv_round_trip(tmp_path):
 def test_external_import(tmp_path):
     path = tmp_path / "ext.csv"
     path.write_text("label,f0,f1,f2\na,1,2,3\nb,4,5,6\n")
-    ds = load_external_features(path)
-    assert ds.extractor == "external"
-    assert len(ds) == 2 and ds.features.shape == (2, 3)
-    assert ds.classes == ("a", "b")
+    labels, feats = read_feature_csv(path)
+    assert labels == ["a", "b"]
+    assert feats.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 def test_external_import_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,f0,f1\na,1,2\nb,3\n")
     with pytest.raises(FeatureError, match=":3"):
-        load_external_features(path)
+        read_feature_csv(path)
     path.write_text("")
     with pytest.raises(FeatureError, match="empty"):
-        load_external_features(path)
+        read_feature_csv(path)
     path.write_text("label,f0\n")
     with pytest.raises(FeatureError, match="no feature rows"):
-        load_external_features(path)
+        read_feature_csv(path)
     path.write_text("name,f0\na,1\n")
     with pytest.raises(FeatureError, match="label"):
-        load_external_features(path)
+        read_feature_csv(path)
     path.write_text("label,f0\na,zap\n")
     with pytest.raises(FeatureError, match=":2"):
-        load_external_features(path)
+        read_feature_csv(path)
 
 
 @given(st.integers(0, 2**31 - 1))

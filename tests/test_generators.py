@@ -7,7 +7,6 @@ import pytest
 from netclass import GenSpec, InvalidSpecError, degree_vector, generate
 from netclass.generators import (
     dataset_seed,
-    gen_dataset,
     geo_points,
     geo_radius,
     geographic_edges,
@@ -177,17 +176,17 @@ def test_dataset_seed_spreads():
     assert len(seeds) == 3 * 2 * 2 * 5
 
 
-def test_gen_dataset_grid_and_determinism():
-    grid = [GenSpec("ER", 30, 4), GenSpec("WS", 30, 4)]
-    out1 = gen_dataset(grid, 3, base_seed=5)
-    out2 = gen_dataset(grid, 3, base_seed=5)
-    assert len(out1) == 6
-    assert [l for _, l in out1] == ["ER"] * 3 + ["WS"] * 3
-    assert out1 == out2
-    relabeled = gen_dataset(grid, 3, base_seed=5, labels=["a", "b"])
-    assert [l for _, l in relabeled] == ["a"] * 3 + ["b"] * 3
-    with pytest.raises(InvalidSpecError):
-        gen_dataset([], 3, base_seed=5)
+def test_preset_grid_and_determinism():
+    rows = preset_rows("synthetic-desk", 5, count_override=2)
+    # grid-major (model, then mean degree), then replicate
+    assert [r.label for r in rows] == [m for m in ("ER", "WS", "BA", "GEO") for _ in range(6)]
+    assert [r.replicate for r in rows] == [0, 1] * 12
+    for r in rows:
+        s = r.spec
+        assert s.seed == dataset_seed(5, s.model, s.n, s.k_bar, s.alpha, r.replicate)
+    assert preset_rows("synthetic-desk", 5, count_override=2) == rows
+    for r in rows[::6]:
+        assert generate(r.spec) == generate(r.spec)
 
 
 def test_preset_row_counts():

@@ -9,7 +9,6 @@ from netclass import (
     Graph,
     GraphInputError,
     adjacency_matrix,
-    cocitation,
     degree_vector,
     from_edge_list,
     read_edge_list,
@@ -100,26 +99,6 @@ def test_degree_sum_is_twice_edges():
     g = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
     assert degree_vector(g).tolist() == [2] * 6
     assert degree_vector(g).sum() == 2 * g.edge_count
-
-
-def test_cocitation_p3_by_hand():
-    # A @ A.T for the path multiplied out by hand
-    c = cocitation(p3())
-    assert c[0, 2] == 1
-    assert c[1, 1] == 2
-    assert c.tolist() == [[1, 0, 1], [0, 2, 0], [1, 0, 1]]
-
-
-def test_cocitation_edgeless_and_symmetry():
-    g = from_edge_list(3, [])
-    assert cocitation(g).sum() == 0
-    g = star5()
-    assert np.array_equal(cocitation(g), cocitation(g).T)
-
-
-def test_cocitation_trace_is_degree_sum():
-    g = from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
-    assert np.trace(cocitation(g)) == degree_vector(g).sum() == 2 * g.edge_count
 
 
 @st.composite

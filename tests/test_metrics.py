@@ -229,6 +229,14 @@ def test_structural_feature_lengths():
         structural_features(g, [])
 
 
+@pytest.mark.parametrize("which", ["kd", "cl", "k", ""])
+def test_structural_selection_string_refused(which):
+    # a bare string is not split into one-letter metric ids
+    g = generate(GenSpec("WS", 60, 6, seed=1))
+    with pytest.raises(ValueError, match="list of metric ids"):
+        structural_features(g, which)
+
+
 def test_structural_features_isomorphism_invariant():
     rng = np.random.default_rng(8)
     g = generate(GenSpec("ER", 40, 4, seed=5))
