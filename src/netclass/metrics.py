@@ -1,16 +1,19 @@
 """Classical structural metrics and their histogram feature encoding.
 
 The shortest-path metrics (distances, diameter, closeness, eccentricity,
-betweenness) all share one level-synchronous BFS kernel that runs every
-source simultaneously.  Each BFS level, in the forward pass and in the
-betweenness backward pass, moves one of three ways, picked from its edge
-work.  Push scatters the level's (source, node) pairs onto their neighbors
-over the graph's neighbor arrays; pull has each pair that can still receive
-gather from its neighbors, which is cheaper once few pairs are left to reach
-(direction-optimizing BFS, Beamer et al., SC 2012); and a level on which both
-are wide runs one dense n x n matrix product.  Every method sums in a fixed
-order, so results are a deterministic function of the graph, and betweenness
-reuses the forward pass.
+betweenness) all share one level-synchronous BFS kernel.  It runs a block of
+sources at once and moves on to the next block when that one is done, so its
+working arrays span the block's (source, node) pairs, not all n * n of them;
+betweenness adds up the blocks' dependency sums, and the per-source distance
+metrics read each block's rows as it comes.  Each BFS level, in the forward
+pass and in the betweenness backward pass, moves one of three ways, picked
+from its edge work.  Push scatters the level's (source, node) pairs onto their
+neighbors over the graph's neighbor arrays; pull has each pair that can still
+receive gather from its neighbors, which is cheaper once few pairs are left to
+reach (direction-optimizing BFS, Beamer et al., SC 2012); and a level on which
+both are wide runs one dense matrix product with the adjacency matrix.  Every
+method sums in a fixed order, so results are a deterministic function of the
+graph, and betweenness reuses the forward pass.
 
 Per-node metric vectors are turned into fixed-length feature vectors by
 histogramming over a fixed per-metric range with 500 equal-width bins, so
@@ -62,30 +65,47 @@ _EXACT_COUNT_LIMIT = 2.0**53
 # their nodes' neighbors; its edge work is the summed degree of those nodes.
 # Pull has each pair that can receive gather from its node's neighbors; its
 # edge work is the summed degree of the receiving pairs' nodes.  The cheaper
-# of the two runs, unless even that reaches n**3 / _SPARSE_RATIO: then the
-# level runs one dense n x n product.  Break-even, measured with one OpenBLAS
-# thread on a 2-vCPU host: one pair-edge costs about as much as 500
-# multiply-adds of the product.  Kernel time over the benchmark's deep (WS/GEO
-# n=500) and scale-free (BA/DM n=1000) graphs of two seeds, in four
-# alternating runs, was flat within about 5% from 350 to 500; at 700 the deep
-# graphs ran 10-15% slower, and at 1000 the scale-free graphs ran about 10%
-# and the deep ones about 20% slower.  The product still earns its place on
-# levels where both directions are wide: without it the scale-free graphs ran
-# 3-10% slower, and betweenness on ER n=500 k=200 ran 18x slower.
+# of the two runs, unless even that reaches 1 / _SPARSE_RATIO of the b * n * n
+# multiply-adds of a block of b sources: then the level runs one dense b x n by
+# n x n product.  Break-even, measured with one OpenBLAS thread on a 2-vCPU
+# host: one pair-edge costs about as much as 500 multiply-adds of the product.
+# Kernel time over the benchmark's deep (WS/GEO n=500) and scale-free (BA/DM
+# n=1000) graphs of two seeds, in four alternating runs, was flat within about
+# 5% from 350 to 500; at 700 the deep graphs ran 10-15% slower, and at 1000
+# the scale-free graphs ran about 10% and the deep ones about 20% slower.  The
+# product still earns its place on levels where both directions are wide:
+# without it the scale-free graphs ran 3-10% slower, and betweenness on ER
+# n=500 k=200 ran 18x slower.
 _SPARSE_RATIO = 500
 
+# The kernel runs blocks of b = max(1, _BLOCK_PAIRS // n) sources, so its
+# per-block arrays hold about _BLOCK_PAIRS (source, node) pairs, 1 MB per
+# float64 array whatever n is, and only a graph with a dense level adds the
+# n x n float adjacency.  Median of four alternating runs over one seed's
+# benchmark graphs (betweenness of the 10 BA/DM n=1000 graphs, structural
+# features of the 12 WS/GEO n=500 ones), one OpenBLAS thread on a 2-vCPU
+# host: the scale-free graphs took 1.62 s at 1 << 17, 1.67 s at 1 << 16,
+# 1.81 s at 1 << 15, 1.71 s at 1 << 18 and 1.99 s in one block of all n
+# sources, where the arrays no longer fit in cache; the deep graphs were flat
+# within 3% from 1 << 16 up and 13% slower at 1 << 15.  The tracemalloc peak
+# of betweenness on one BA graph was 15.5 MB at 1 << 17, 23 MB at 1 << 18 and
+# 53 MB in one block.
+_BLOCK_PAIRS = 1 << 17
 
-def _method(push_work, pull_work, n):
-    """How one BFS level moves, given its push and pull edge work."""
-    if min(push_work, pull_work) >= n**3 / _SPARSE_RATIO:
+
+def _method(push_work, pull_work, product_work):
+    """How one BFS level moves, given its push and pull edge work and the
+    multiply-adds of the dense product."""
+    if min(push_work, pull_work) >= product_work / _SPARSE_RATIO:
         return "dense"
     return "push" if push_work <= pull_work else "pull"
 
 
-def _runs(k, n):
-    """Cut pairs of degrees ``k`` into consecutive runs of about n*n/2
-    pair-edges, which keeps the temporaries of a run within one dense matrix."""
-    step = max(n * n // 2, 1)
+def _runs(k, size):
+    """Cut pairs of degrees ``k`` into consecutive runs of about size/2
+    pair-edges, which keeps the temporaries of a run within one array of
+    ``size`` entries."""
+    step = max(size // 2, 1)
     ends = np.cumsum(k)
     total = ends[-1] if ends.size else 0
     cuts = [0, *np.searchsorted(ends, np.arange(step, total, step)), k.size]
@@ -93,7 +113,7 @@ def _runs(k, n):
 
 
 def _neighbor_pairs(pairs, k, g):
-    """Flat indices ``s * n + u`` of every neighbor u of each pair ``s * n + v``.
+    """Flat indices ``i * n + u`` of every neighbor u of each pair ``i * n + v``.
 
     ``k`` is the degree of each pair's node; the neighbors come pair by pair,
     in CSR order.
@@ -109,19 +129,19 @@ def _neighbor_pairs(pairs, k, g):
     return out
 
 
-def _push(pairs, weights, k, g):
+def _push(pairs, weights, k, g, size):
     """Sum each pair's weight onto its node's neighbors (one BFS level, top-down).
 
-    Returns the flat n * n float array whose entry ``s * n + u`` is the sum of
-    ``weights[i]`` over the pairs ``s * n + v`` with u adjacent to v, summed
-    in pair order.
+    Returns the flat float array of ``size`` entries whose entry ``i * n + u``
+    is the sum of ``weights[j]`` over the pairs ``i * n + v`` with u adjacent
+    to v, summed in pair order.
     """
     out = None
-    for lo, hi in _runs(k, g.n):
+    for lo, hi in _runs(k, size):
         part = np.bincount(
             _neighbor_pairs(pairs[lo:hi], k[lo:hi], g),
             weights=np.repeat(weights[lo:hi], k[lo:hi]),
-            minlength=g.n * g.n,
+            minlength=size,
         )
         if out is None:
             out = part
@@ -131,14 +151,14 @@ def _push(pairs, weights, k, g):
     return out
 
 
-def _pull(targets, values, k, g):
-    """For each target pair ``s * n + u``, the sum of ``values[s * n + v]``
+def _pull(targets, values, k, g, size):
+    """For each target pair ``i * n + u``, the sum of ``values[i * n + v]``
     over the neighbors v of u (one BFS level, bottom-up).
 
     ``k`` is the degree of each target's node and must be positive.
     """
     out = np.empty(targets.size)
-    for lo, hi in _runs(k, g.n):
+    for lo, hi in _runs(k, size):
         kk = k[lo:hi]
         out[lo:hi] = np.add.reduceat(
             values[_neighbor_pairs(targets[lo:hi], kk, g)], np.cumsum(kk) - kk
@@ -146,124 +166,189 @@ def _pull(targets, values, k, g):
     return out
 
 
-def _shortest_paths(g: Graph, with_betweenness: bool = False):
-    """Level-synchronous BFS from every source at once, then optionally the
-    Brandes backward pass.
+def _source_blocks(g: Graph, with_betweenness: bool = False):
+    """Level-synchronous BFS from consecutive blocks of sources, each followed
+    by the Brandes backward pass if ``with_betweenness``.
 
-    Returns ``(dist, sigma, bet)``: ``dist[s, v]`` is the hop distance (-1 if
-    unreachable), ``sigma[s, v]`` the number of shortest s-v paths, and
-    ``bet`` the unnormalized betweenness over unordered node pairs, endpoints
-    excluded (None unless ``with_betweenness``).  ``bet`` is the column sums
-    of the per-source dependencies, halved because each pair is reached from
-    both endpoints.  Warns when a path count exceeds 2**53, past which
-    float64 no longer holds it exactly.
+    Yields ``(lo, dist, sigma, dep)`` per block of b sources ``lo .. lo+b-1``
+    (b from :data:`_BLOCK_PAIRS`): ``dist[i, v]`` is the hop distance from
+    source ``lo + i`` to v (-1 if unreachable), ``sigma[i, v]`` the number of
+    shortest such paths, and ``dep`` the column sums of the block's
+    dependencies (None unless ``with_betweenness``).  Half the sum of ``dep``
+    over all blocks is the betweenness over unordered pairs, since each pair
+    is reached from both endpoints.  Once every block has run with
+    betweenness, warns once when a path count exceeded 2**53, past which
+    float64 no longer holds it exactly.  The warning names the frame two
+    calls above the loop that consumes the blocks: the caller of
+    :func:`betweenness` or :func:`structural_features`, which consume them
+    through :func:`_per_source`.
 
-    Both passes move one level at a time over the (source, node) pairs at
-    that distance, held as flat indices ``s * n + v``, and each level picks
-    push, pull or the dense product by its edge work (see ``_SPARSE_RATIO``).
-    The flat n * n arrays are dense whichever method runs, so ``g`` is held
-    to the same size cap as :func:`adjacency_matrix`.
+    Both passes move one level at a time over the block's (source, node)
+    pairs at that distance, held as flat indices ``i * n + v`` with ``i``
+    local to the block, and each level picks push, pull or the dense product
+    by its edge work (see ``_SPARSE_RATIO``).  The forward pass keeps each
+    level's pairs for the backward pass.  ``g`` is held to the same size cap
+    as :func:`adjacency_matrix`, which the product reads.
     """
     require_dense_size(g)
     n = g.n
     deg = degree_vector(g)
-    # ``out``, the n x n result of the last push or product, stays alive until
-    # the next level replaces it.  Freed at once, its pages went back to the
-    # system and were faulted in again by the next level: on the deep
-    # benchmark graphs that doubled the page faults and cost more time than
-    # pull saved.  Once spent it holds the weights a pull or product reads.
+    total = int(deg.sum())
+    block = max(1, _BLOCK_PAIRS // n)
+    # ``out``, the result of the last push or product, stays alive until the
+    # next level replaces it, across blocks too.  Freed at once, its pages went
+    # back to the system and were faulted in again by the next level: on the
+    # deep benchmark graphs that doubled the page faults and cost more time
+    # than pull saved.  Once spent it holds the weights a pull or product
+    # reads.  Blocks only shrink, so a block's pairs fit into the buffer.
     dense = out = None
+    peak = 0.0
 
     def spent(pairs, weights):
-        # ``out`` overwritten with the weights on their pairs, 0 elsewhere.
+        # The block's part of ``out``, overwritten with the weights on their
+        # pairs and 0 elsewhere.
         nonlocal out
         if out is None:
-            out = np.zeros(n * n)
-        else:
-            out.fill(0.0)
-        out[pairs] = weights
-        return out
+            out = np.empty(size)
+        buf = out[:size]
+        buf.fill(0.0)
+        buf[pairs] = weights
+        return buf
 
     def product(pairs, weights):
         # What _push returns, from one dense product.
         nonlocal dense
         if dense is None:
             dense = adjacency_matrix(g).astype(np.float64)
-        return (spent(pairs, weights).reshape(n, n) @ dense).ravel()
+        return (spent(pairs, weights).reshape(b, n) @ dense).ravel()
 
-    dist = np.full(n * n, -1, dtype=np.int32)
-    sigma = np.zeros(n * n)
-    frontier = np.arange(n) * (n + 1)  # each source at distance 0
-    dist[frontier] = 0
-    sigma[frontier] = 1.0
-    # work[d] is the push work of level d; the pull work of the next forward
-    # level is the summed degree of the pairs not reached yet
-    work = [int(deg.sum())]
-    unreached = (n - 1) * work[0]
-    depth = 0
-    while True:
-        how = _method(work[depth], unreached, n)
-        if how == "pull":
-            # An unreached pair's neighbors lie at this depth or deeper, and
-            # deeper pairs still have sigma 0, so sigma is gathered unmasked.
-            frontier = np.flatnonzero(dist < 0)
-            frontier = frontier[deg[frontier % n] > 0]
-            counts = _pull(frontier, sigma, deg[frontier % n], g)
-            hit = counts > 0
-            frontier, counts = frontier[hit], counts[hit]
-        else:
-            if how == "push":
-                out = _push(frontier, sigma[frontier], deg[frontier % n], g)
+    for lo in range(0, n, block):
+        b = min(block, n - lo)
+        size = b * n
+        product_work = size * n
+        dist = np.full(size, -1, dtype=np.int32)
+        sigma = np.zeros(size)
+        frontier = np.arange(b) * (n + 1) + lo  # each source at distance 0
+        dist[frontier] = 0
+        sigma[frontier] = 1.0
+        levels = [frontier]
+        # work[d] is the push work of level d; the pull work of the next
+        # forward level is the summed degree of the pairs not reached yet
+        work = [int(deg[lo:lo + b].sum())]
+        unreached = b * total - work[0]
+        depth = 0
+        while True:
+            how = _method(work[depth], unreached, product_work)
+            if how == "pull":
+                # An unreached pair's neighbors lie at this depth or deeper,
+                # and deeper pairs still have sigma 0, so sigma is gathered
+                # unmasked.
+                frontier = np.flatnonzero(dist < 0)
+                frontier = frontier[deg[frontier % n] > 0]
+                counts = _pull(frontier, sigma, deg[frontier % n], g, size)
+                hit = counts > 0
+                frontier, counts = frontier[hit], counts[hit]
             else:
-                out = product(frontier, sigma[frontier])
-            frontier = np.flatnonzero((out > 0) & (dist < 0))
-            counts = out[frontier]
-        if not frontier.size:
-            break
-        depth += 1
-        dist[frontier] = depth
-        sigma[frontier] = counts
-        del counts
-        work.append(int(deg[frontier % n].sum()))
-        unreached -= work[depth]
-    del counts, frontier
-    out = None
-    if not with_betweenness:
-        return dist.reshape(n, n), sigma.reshape(n, n), None
+                if how == "push":
+                    out = _push(frontier, sigma[frontier], deg[frontier % n], g, size)
+                else:
+                    out = product(frontier, sigma[frontier])
+                frontier = np.flatnonzero((out > 0) & (dist < 0))
+                counts = out[frontier]
+            if not frontier.size:
+                break
+            depth += 1
+            dist[frontier] = depth
+            sigma[frontier] = counts
+            del counts
+            levels.append(frontier)
+            work.append(int(deg[frontier % n].sum()))
+            unreached -= work[depth]
+        del counts, frontier
+        dep = None
+        if with_betweenness:
+            peak = max(peak, sigma.max())
+            # Dependencies are written one level at a time, deepest first: a
+            # pair's entry is final once the level above it has been spread
+            # back onto it.  Spreading level L onto L - 1 pushes from L or
+            # pulls into L - 1.  The sources' own dependencies (level 0) are
+            # never needed.
+            delta = np.zeros(size)
+            for lev in range(depth, 1, -1):
+                level = levels[lev]
+                weights = (1.0 + delta[level]) * (1.0 / sigma[level])
+                how = _method(work[lev], work[lev - 1], product_work)
+                if how == "push":
+                    out = buf = _push(level, weights, deg[level % n], g, size)
+                elif how == "dense":
+                    out = buf = product(level, weights)
+                else:
+                    buf = spent(level, weights)
+                del weights
+                level = levels[lev - 1]
+                if how == "pull":
+                    contrib = _pull(level, buf, deg[level % n], g, size)
+                else:
+                    contrib = buf[level]
+                delta[level] = sigma[level] * contrib
+                del contrib, buf
+            dep = delta.reshape(b, n).sum(axis=0)
+            del delta
+        del levels
+        yield lo, dist.reshape(b, n), sigma.reshape(b, n), dep
 
-    peak = sigma.max(initial=0.0)
     if peak > _EXACT_COUNT_LIMIT:
         warnings.warn(
             f"shortest-path counts reach {peak:.3g} on a graph with "
             f"n={n}, past 2**53; betweenness is no longer exact",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    # Dependencies are written one level at a time, deepest first: a pair's
-    # entry is final once the level above it has been spread back onto it.
-    # Spreading level L onto L - 1 pushes from L or pulls into L - 1.  The
-    # sources' own dependencies (level 0) are never needed.
-    delta = np.zeros(n * n)
-    level = np.flatnonzero(dist == depth)
-    for lev in range(depth, 1, -1):
-        weights = (1.0 + delta[level]) * (1.0 / sigma[level])
-        how = _method(work[lev], work[lev - 1], n)
-        if how == "push":
-            out = _push(level, weights, deg[level % n], g)
-        elif how == "dense":
-            out = product(level, weights)
-        else:
-            spent(level, weights)
-        del weights, level
-        level = np.flatnonzero(dist == lev - 1)
-        if how == "pull":
-            contrib = _pull(level, out, deg[level % n], g)
-        else:
-            contrib = out[level]
-        delta[level] = sigma[level] * contrib
-        del contrib
-    bet = delta.reshape(n, n).sum(axis=0) / 2.0
-    return dist.reshape(n, n), sigma.reshape(n, n), bet
+
+
+def _shortest_paths(g: Graph, with_betweenness: bool = False):
+    """All blocks of :func:`_source_blocks` stacked into ``(dist, sigma, bet)``.
+
+    ``dist`` and ``sigma`` are n x n, row s for source s, and ``bet`` is the
+    unnormalized betweenness over unordered node pairs, endpoints excluded
+    (None unless ``with_betweenness``).
+    """
+    require_dense_size(g)  # the stacked arrays are n x n
+    n = g.n
+    dist = np.empty((n, n), dtype=np.int32)
+    sigma = np.empty((n, n))
+    bet = np.zeros(n) if with_betweenness else None
+    for lo, d, s, dep in _source_blocks(g, with_betweenness):
+        dist[lo:lo + len(d)] = d
+        sigma[lo:lo + len(s)] = s
+        if with_betweenness:
+            bet += dep
+    return dist, sigma, (bet / 2.0 if with_betweenness else None)
+
+
+def _per_source(g: Graph, with_betweenness: bool = False):
+    """Per-source distance summaries and betweenness, from the kernel's
+    blocks as they come, never holding an n x n array.
+
+    Returns ``(reach, far, ecc, bet)``: how many other nodes each source
+    reaches, their summed distance, the largest of those distances (0 if
+    none), and the betweenness of :func:`betweenness` (None unless
+    ``with_betweenness``).
+    """
+    n = g.n
+    reach = np.empty(n, dtype=np.int64)
+    far = np.empty(n, dtype=np.int64)
+    ecc = np.empty(n, dtype=np.int64)
+    bet = np.zeros(n) if with_betweenness else None
+    for lo, dist, _, dep in _source_blocks(g, with_betweenness):
+        rows = slice(lo, lo + len(dist))
+        reached = dist >= 0
+        reach[rows] = reached.sum(axis=1) - 1  # excluding the source itself
+        far[rows] = np.where(reached, dist, 0).sum(axis=1)
+        ecc[rows] = dist.max(axis=1)
+        if with_betweenness:
+            bet += dep
+    return reach, far, ecc, (bet / 2.0 if with_betweenness else None)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -274,23 +359,21 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     return out
 
 
-def _require_connected(dist: np.ndarray, what: str) -> None:
-    if (dist < 0).any():
+def _connected_ecc(g: Graph, what: str) -> np.ndarray:
+    reach, _, ecc, _ = _per_source(g)
+    if (reach < g.n - 1).any():
         raise DisconnectedGraphError(f"{what} is undefined on a disconnected graph")
+    return ecc
 
 
 def diameter(g: Graph) -> int:
     """Largest shortest-path distance over all pairs; requires connectivity."""
-    dist, _, _ = _shortest_paths(g)
-    _require_connected(dist, "diameter")
-    return int(dist.max())
+    return int(_connected_ecc(g, "diameter").max())
 
 
 def eccentricity(g: Graph) -> np.ndarray:
     """Per-node maximum distance to any other node; requires connectivity."""
-    dist, _, _ = _shortest_paths(g)
-    _require_connected(dist, "eccentricity")
-    return dist.max(axis=1).astype(np.int64)
+    return _connected_ecc(g, "eccentricity")
 
 
 def closeness(g: Graph) -> np.ndarray:
@@ -300,33 +383,25 @@ def closeness(g: Graph) -> np.ndarray:
     (0, 1].  On a disconnected graph the sum runs over the reachable nodes
     only, scaled by their count minus one; isolated nodes score 0.
     """
-    dist, _, _ = _shortest_paths(g)
-    return _closeness_from(dist)
+    reach, far, _, _ = _per_source(g)
+    return _closeness(reach, far)
 
 
-def _closeness_from(dist: np.ndarray) -> np.ndarray:
-    reach = dist >= 0
-    counts = reach.sum(axis=1) - 1  # excluding the node itself
-    sums = np.where(reach, dist, 0).sum(axis=1)
-    return np.where(sums > 0, counts / np.maximum(sums, 1), 0.0)
-
-
-def _ecc_finite(dist: np.ndarray) -> np.ndarray:
-    # Within-component eccentricity: max finite distance per row.
-    return np.where(dist >= 0, dist, -1).max(axis=1).astype(np.int64)
+def _closeness(reach: np.ndarray, far: np.ndarray) -> np.ndarray:
+    return np.where(far > 0, reach / np.maximum(far, 1), 0.0)
 
 
 def betweenness(g: Graph) -> np.ndarray:
     """Brandes-style betweenness, unnormalized, over unordered pairs.
 
     Shortest-path counts are integers carried in float64, exact up to 2**53;
-    above that they round, and a ``UserWarning`` names the graph size and the
-    largest count (a 30x30 grid already reaches about 3e16 paths).
-    Dependency sums are accumulated in a fixed order, so the output is a
-    deterministic function of the graph.  Disconnected graphs are fine:
+    above that they round, and one ``UserWarning`` per graph names the graph
+    size and the largest count (a 30x30 grid already reaches about 3e16
+    paths).  Dependency sums are accumulated in a fixed order, so the output
+    is a deterministic function of the graph.  Disconnected graphs are fine:
     pairs in different components simply contribute nothing.
     """
-    return _shortest_paths(g, with_betweenness=True)[2]
+    return _per_source(g, with_betweenness=True)[3]
 
 
 def clustering(g: Graph) -> np.ndarray:
@@ -335,9 +410,19 @@ def clustering(g: Graph) -> np.ndarray:
     ``2 * T_i / (k_i * (k_i - 1))`` with ``T_i`` the edge count among the
     neighbors of ``i``; nodes of degree below 2 score 0.
     """
-    a = adjacency_matrix(g).astype(np.float64)
-    deg = a.sum(axis=1)
-    closed = ((a @ a) * a).sum(axis=1)  # = 2 * T_i
+    n = g.n
+    deg = degree_vector(g)
+    # Every path i - j - u with j the middle node is the pair i * n + j
+    # followed to j's neighbor u; it closes a triangle when u is a neighbor of
+    # i, which the sorted flat keys i * n + u of the edges tell.  Each node i
+    # sees each of its T_i triangles twice, once per direction round it.
+    keys = np.repeat(np.arange(n), deg) * n + g.indices
+    k = deg[g.indices]
+    closed = np.zeros(n, dtype=np.int64)
+    for lo, hi in _runs(k, 2 * _BLOCK_PAIRS):
+        ends = _neighbor_pairs(keys[lo:hi], k[lo:hi], g)
+        ends = ends[keys[np.minimum(np.searchsorted(keys, ends), keys.size - 1)] == ends]
+        closed += np.bincount(ends // n, minlength=n)
     denom = deg * (deg - 1.0)
     return np.where(denom > 0, closed / np.maximum(denom, 1.0), 0.0)
 
@@ -424,9 +509,8 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
         if not sel:
             raise ValueError("empty metric selection")
     n = g.n
-    dist = bet = None
     if sel & {"d", "cl", "ecc", "bet"}:
-        dist, _, bet = _shortest_paths(g, with_betweenness="bet" in sel)
+        reach, far, ecc, bet = _per_source(g, with_betweenness="bet" in sel)
     parts = []
     for mid in METRIC_ORDER:
         if mid not in sel:
@@ -434,12 +518,11 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
         if mid == "pp":
             parts.append(metric_histogram(avg_neighbor_degree(g), "pp"))
         elif mid == "d":
-            d = max(int(_ecc_finite(dist).max()), 0) if n > 0 else 0
-            parts.append(np.array([d / _DIAMETER_SCALE]))
+            parts.append(np.array([int(ecc.max()) / _DIAMETER_SCALE]))
         elif mid == "cl":
-            parts.append(metric_histogram(_closeness_from(dist), "cl"))
+            parts.append(metric_histogram(_closeness(reach, far), "cl"))
         elif mid == "ecc":
-            parts.append(metric_histogram(_ecc_finite(dist), "ecc"))
+            parts.append(metric_histogram(ecc, "ecc"))
         elif mid == "bet":
             pairs = (n - 1) * (n - 2) / 2.0
             parts.append(metric_histogram(bet / pairs if pairs > 0 else bet, "bet"))

@@ -96,6 +96,16 @@ def sigma_matrix(g):
     return out
 
 
+def dense_clustering(g):
+    """Clustering from the dense triangle count ``((A @ A) * A).sum(axis=1)``."""
+    from netclass import adjacency_matrix
+
+    a = adjacency_matrix(g).astype(np.float64)
+    deg = a.sum(axis=1)
+    denom = deg * (deg - 1.0)
+    return np.where(denom > 0, ((a @ a) * a).sum(axis=1) / np.maximum(denom, 1.0), 0.0)
+
+
 def _step(x):
     return 1 if x >= 0 else 0
 

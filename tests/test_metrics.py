@@ -137,8 +137,12 @@ def test_path_counts_past_2_53_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         betweenness(oracles.grid_graph(29))
-    with pytest.warns(UserWarning, match=r"n=900.*2\*\*53"):
+    # the 30 x 30 grid runs in several blocks of sources, but warns once, with
+    # the peak over all of them, naming the frame that called betweenness
+    with pytest.warns(UserWarning, match=r"reach 3\.0\de\+16 .*n=900.*2\*\*53") as caught:
         betweenness(oracles.grid_graph(30))
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Differential tests of the shortest-path kernel behind every distance metric,
 and of the local metrics on the same graphs.
 
-Each BFS level of the kernel pushes its (source, node) pairs onto their
-neighbors, pulls into the pairs that can receive from their neighbors, or runs
-a dense matrix product, chosen by the edge work of push and pull.  The tests
-force each method on every level by replacing the choice function
-``metrics._method`` and check all three, and the default mix, against the
-brute-force oracles, against networkx and against each other.
+The kernel runs blocks of sources, and each BFS level of a block pushes its
+(source, node) pairs onto their neighbors, pulls into the pairs that can
+receive from their neighbors, or runs a dense matrix product, chosen by the
+edge work of push and pull.  The tests force each method on every level by
+replacing the choice function ``metrics._method``, and force block sizes by
+replacing ``metrics._BLOCK_PAIRS``; they check every method, every block size
+and the default mix against the brute-force oracles, against networkx and
+against each other.
 """
 
 import tracemalloc
@@ -38,7 +40,7 @@ FORCED = {"sparse": "push", "pull": "pull", "dense": "dense"}
 
 
 def _force(monkeypatch, method):
-    monkeypatch.setattr(metrics, "_method", lambda push_work, pull_work, n: method)
+    monkeypatch.setattr(metrics, "_method", lambda push_work, pull_work, product_work: method)
 
 
 @pytest.fixture(params=["default", *sorted(FORCED)])
@@ -53,6 +55,29 @@ def test_small_graphs_match_oracles(branch):
     rng = np.random.default_rng(4242)
     for _ in range(80):
         g = oracles.random_graph(rng, int(rng.integers(1, 14)), float(rng.uniform(0.05, 0.8)))
+        dist, sigma, bet = metrics._shortest_paths(g, with_betweenness=True)
+        assert np.array_equal(dist, oracles.bfs_distances(g))
+        assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
+        assert np.allclose(bet, oracles.brute_betweenness(g), rtol=0, atol=1e-9)
+        # triangle counts are integers, so the CSR count is exact
+        assert np.array_equal(clustering(g), oracles.dense_clustering(g))
+
+
+# Sources per block, forced through _BLOCK_PAIRS = b * n: one, a count that
+# divides none of the large graph sizes (500, 1000, 405), and all n at once.
+BLOCKS = {"b1": 1, "b7": 7, "bn": None}
+
+
+def _block(monkeypatch, b, n):
+    monkeypatch.setattr(metrics, "_BLOCK_PAIRS", (b or n) * n)
+
+
+@pytest.mark.parametrize("blocks", sorted(BLOCKS))
+def test_small_graphs_in_forced_blocks_match_oracles(blocks, monkeypatch):
+    rng = np.random.default_rng(4243)
+    for _ in range(80):
+        g = oracles.random_graph(rng, int(rng.integers(1, 14)), float(rng.uniform(0.05, 0.8)))
+        _block(monkeypatch, BLOCKS[blocks], g.n)
         dist, sigma, bet = metrics._shortest_paths(g, with_betweenness=True)
         assert np.array_equal(dist, oracles.bfs_distances(g))
         assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
@@ -76,13 +101,23 @@ GRAPHS = {
     "disconnected": _disconnected,
 }
 
-# The method each level takes by default, run-length coded: the forward
-# levels, the last of which finds nothing new, then the backward ones.
+# The method each level takes by default, run-length coded, per block of
+# sources: the block's forward levels, the last of which finds nothing new,
+# then its backward ones.
 LEVELS = {
-    "ws500": "push*10 pull*7 | push*8 pull*7",
-    "ba1000": "push*3 pull*3 | push*2 pull*2",
-    "ba1000-linear": "push*3 dense pull*3 | push*2 dense pull*2",
-    "disconnected": "push*20 | push*11 pull*7",
+    "ws500": ["push*10 pull*7 | push*8 pull*7"] * 2,
+    "ba1000": [
+        "push*2 dense pull*3 | push*2 dense pull",
+        *["push*3 pull*3 | push*2 pull*2"] * 3,
+        *["push*3 dense pull*2 | push dense pull*2"] * 4,
+    ],
+    "ba1000-linear": [
+        "push*2 dense pull*3 | push*2 dense pull",
+        *["push*3 dense pull*2 | push dense pull*2"] * 5,
+        "push*3 dense pull*3 | push*2 dense pull*2",
+        "push*3 dense pull*2 | push dense pull*2",
+    ],
+    "disconnected": ["push*20 | push*12 pull*6", "push*20 | push*11 pull*7"],
 }
 
 
@@ -101,8 +136,8 @@ def test_large_graph_levels_take_expected_branch(name, monkeypatch):
     chosen = []
     choose = metrics._method
 
-    def recording(push_work, pull_work, n):
-        chosen.append(choose(push_work, pull_work, n))
+    def recording(push_work, pull_work, product_work):
+        chosen.append(choose(push_work, pull_work, product_work))
         return chosen[-1]
 
     built = []
@@ -113,17 +148,27 @@ def test_large_graph_levels_take_expected_branch(name, monkeypatch):
 
     monkeypatch.setattr(metrics, "_method", recording)
     monkeypatch.setattr(metrics, "adjacency_matrix", counting)
-    dist, _, _ = metrics._shortest_paths(GRAPHS[name](), with_betweenness=True)
-    forward = int(dist.max()) + 1
-    assert f"{_run_lengths(chosen[:forward])} | {_run_lengths(chosen[forward:])}" == LEVELS[name]
-    # the dense matrix is built only for a level that runs the product
-    assert bool(built) == ("dense" in chosen)
+    blocks = []
+    # the generator runs a block's levels before it yields that block
+    for _, dist, _, _ in metrics._source_blocks(GRAPHS[name](), with_betweenness=True):
+        forward = int(dist.max()) + 1
+        blocks.append(f"{_run_lengths(chosen[:forward])} | {_run_lengths(chosen[forward:])}")
+        chosen.clear()
+    assert blocks == LEVELS[name]
+    # the dense matrix is built once, and only when some level runs the product
+    assert len(built) == any("dense" in b for b in blocks)
 
 
 @pytest.fixture(scope="module", params=["ba1000", "disconnected", "ws500"])
 def large(request):
     g = GRAPHS[request.param]()
     return g, metrics._shortest_paths(g, with_betweenness=True)
+
+
+@pytest.fixture(scope="module")
+def large_oracles(large):
+    g = large[0]
+    return oracles.bfs_distances(g), oracles.sigma_matrix(g).astype(float)
 
 
 @pytest.mark.parametrize("forced", sorted(FORCED))
@@ -137,10 +182,21 @@ def test_large_graph_branches_agree(large, forced, monkeypatch):
     assert np.allclose(f_bet, bet, rtol=0, atol=1e-9)
 
 
-def test_large_graph_matches_oracles(large):
-    g, (dist, sigma, _) = large
-    assert np.array_equal(dist, oracles.bfs_distances(g))
-    assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
+def test_large_graph_matches_oracles(large, large_oracles):
+    _, (dist, sigma, _) = large
+    assert np.array_equal(dist, large_oracles[0])
+    assert np.array_equal(sigma, large_oracles[1])
+
+
+@pytest.mark.parametrize("blocks", sorted(BLOCKS))
+def test_large_graph_forced_blocks_match_oracles(large, large_oracles, blocks, monkeypatch):
+    g, (_, _, bet) = large
+    _block(monkeypatch, BLOCKS[blocks], g.n)
+    b_dist, b_sigma, b_bet = metrics._shortest_paths(g, with_betweenness=True)
+    assert np.array_equal(b_dist, large_oracles[0])
+    assert np.array_equal(b_sigma, large_oracles[1])
+    # the default's betweenness matches networkx in test_large_graph_matches_networkx
+    assert np.allclose(b_bet, bet, rtol=0, atol=1e-9)
 
 
 def test_large_graph_matches_networkx(large):
@@ -171,9 +227,14 @@ def test_large_graph_matches_networkx(large):
             eccentricity(g)
 
 
+def test_large_graph_clustering_matches_dense_count(large):
+    g = large[0]
+    assert np.array_equal(clustering(g), oracles.dense_clustering(g))
+
+
 def test_large_graph_local_metrics_match_networkx(large):
-    # clustering, neighbor degree and assortativity read the CSR arrays (or
-    # the dense matrix) directly, outside the shortest-path kernel
+    # clustering, neighbor degree and assortativity read the CSR arrays
+    # directly, outside the shortest-path kernel
     nx = pytest.importorskip("networkx")
     g = large[0]
     ref = nx.Graph()
@@ -190,8 +251,8 @@ def test_large_graph_local_metrics_match_networkx(large):
 
 
 def test_size_cap_applies_without_a_dense_level():
-    # an edgeless graph never goes dense, but the kernel's flat n * n arrays
-    # would still be allocated, so it is refused like adjacency_matrix
+    # an edgeless graph never goes dense, but the kernel holds every graph to
+    # the cap of the adjacency matrix its dense levels read
     g = from_edge_list(MAX_DENSE_SIZE + 1, [])
     for metric in (betweenness, closeness, all_pairs_distances):
         with pytest.raises(GraphInputError, match="cap"):
@@ -201,17 +262,30 @@ def test_size_cap_applies_without_a_dense_level():
             structural_features(g, which)
 
 
-@pytest.mark.parametrize("index", range(4))
-def test_hub_heavy_peak_memory(index):
-    # The BA cells of scalefree-desk, one per attachment exponent.  The kernel
-    # peaks at 6.4-8.5 n x n float64 arrays on them; holding the per-pair
-    # degrees across a dense product, or pulling densely over every unreached
-    # pair, reaches 11.
-    g = _scalefree(index)()
+# tracemalloc peak, in n x n float64 arrays, of betweenness on the BA cells of
+# scalefree-desk (one per attachment exponent) and of structural_features on
+# ws500, as measured.  The kernel's block arrays hold about 1 MB each, and
+# every BA cell but the third also builds the n x n float adjacency for its
+# dense levels.  Half an array of slack leaves any mutant that keeps one more
+# n x n float64 array, such as the stacked distances, over the bound.
+PEAKS = {0: 2.05, 1: 2.28, 2: 1.26, 3: 2.20, "ws500": 4.28}
+
+
+def _peak(fn, g):
     tracemalloc.start()
     try:
-        metrics._shortest_paths(g, with_betweenness=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(g)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9.5 * g.n * g.n * 8
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_hub_heavy_peak_memory(index):
+    g = _scalefree(index)()
+    assert _peak(betweenness, g) <= (PEAKS[index] + 0.5) * g.n * g.n * 8
+
+
+def test_structural_peak_memory():
+    g = GRAPHS["ws500"]()
+    assert _peak(structural_features, g) <= (PEAKS["ws500"] + 0.5) * g.n * g.n * 8
