@@ -11,9 +11,10 @@ from its edge work.  Push scatters the level's (source, node) pairs onto their
 neighbors over the graph's neighbor arrays; pull has each pair that can still
 receive gather from its neighbors, which is cheaper once few pairs are left to
 reach (direction-optimizing BFS, Beamer et al., SC 2012); and a level on which
-both are wide runs one dense matrix product with the adjacency matrix.  Every
-method sums in a fixed order, so results are a deterministic function of the
-graph, and betweenness reuses the forward pass.
+both are wide runs a dense matrix product with the adjacency matrix, read in
+bands of rows scattered from the neighbor arrays, so the kernel never builds
+an n * n array.  Every method sums in a fixed order, so results are a
+deterministic function of the graph, and betweenness reuses the forward pass.
 
 Per-node metric vectors are turned into fixed-length feature vectors by
 histogramming over a fixed per-metric range with 500 equal-width bins, so
@@ -26,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, degree_vector, require_dense_size
+from .graph import Graph, degree_vector, require_dense_size
 
 
 class DisconnectedGraphError(ValueError):
@@ -80,17 +81,28 @@ _SPARSE_RATIO = 500
 
 # The kernel runs blocks of b = max(1, _BLOCK_PAIRS // n) sources, so its
 # per-block arrays hold about _BLOCK_PAIRS (source, node) pairs, 1 MB per
-# float64 array whatever n is, and only a graph with a dense level adds the
-# n x n float adjacency.  Median of four alternating runs over one seed's
-# benchmark graphs (betweenness of the 10 BA/DM n=1000 graphs, structural
+# float64 array whatever n is, and a graph with a dense level adds one band
+# of the adjacency (see _BAND_PAIRS).  Median of four alternating runs over one
+# seed's benchmark graphs (betweenness of the 10 BA/DM n=1000 graphs, structural
 # features of the 12 WS/GEO n=500 ones), one OpenBLAS thread on a 2-vCPU
 # host: the scale-free graphs took 1.62 s at 1 << 17, 1.67 s at 1 << 16,
 # 1.81 s at 1 << 15, 1.71 s at 1 << 18 and 1.99 s in one block of all n
 # sources, where the arrays no longer fit in cache; the deep graphs were flat
 # within 3% from 1 << 16 up and 13% slower at 1 << 15.  The tracemalloc peak
-# of betweenness on one BA graph was 15.5 MB at 1 << 17, 23 MB at 1 << 18 and
-# 53 MB in one block.
+# of betweenness on one BA graph, which then also built the whole float
+# adjacency, was 15.5 MB at 1 << 17, 23 MB at 1 << 18 and 53 MB in one block.
 _BLOCK_PAIRS = 1 << 17
+
+# The dense product reads the adjacency in bands of r = max(1, _BAND_PAIRS // n)
+# rows (at most n), one reused float64 buffer of r * n entries: 4 MB whatever
+# n is (524 rows at n = 1000, 52 at n = 10,000), where the whole matrix is
+# 8 MB at n = 1000 and 800 MB at n = 10,000.  Besides its product, each band
+# costs a scatter and a clear of its entries.  Betweenness of the 10 BA/DM
+# n=1000 graphs of two benchmark seeds, two runs, one OpenBLAS thread on a
+# 2-vCPU host: 1.61 s with the whole matrix, 1.65-1.67 s at 1 << 19,
+# 1.66-1.72 s at 1 << 18 and 1.69-1.81 s at 1 << 17; ER n=500 k=200 and ER
+# n=1000 k=100 together took 0.16 s, 0.18-0.19 s, 0.19 s and 0.20-0.21 s.
+_BAND_PAIRS = 1 << 19
 
 
 def _method(push_work, pull_work, product_work):
@@ -187,8 +199,10 @@ def _source_blocks(g: Graph, with_betweenness: bool = False):
     pairs at that distance, held as flat indices ``i * n + v`` with ``i``
     local to the block, and each level picks push, pull or the dense product
     by its edge work (see ``_SPARSE_RATIO``).  The forward pass keeps each
-    level's pairs for the backward pass.  ``g`` is held to the same size cap
-    as :func:`adjacency_matrix`, which the product reads.
+    level's pairs for the backward pass.  The product reads the adjacency in
+    bands of rows (see ``_BAND_PAIRS``), so no n x n array is built.  ``g``
+    is still held to the dense size cap, which bounds the run time: each
+    dense level costs b * n * n multiply-adds.
     """
     require_dense_size(g)
     n = g.n
@@ -201,7 +215,8 @@ def _source_blocks(g: Graph, with_betweenness: bool = False):
     # deep benchmark graphs that doubled the page faults and cost more time
     # than pull saved.  Once spent it holds the weights a pull or product
     # reads.  Blocks only shrink, so a block's pairs fit into the buffer.
-    dense = out = None
+    rows = min(n, max(1, _BAND_PAIRS // n))
+    band = out = None
     peak = 0.0
 
     def spent(pairs, weights):
@@ -216,11 +231,28 @@ def _source_blocks(g: Graph, with_betweenness: bool = False):
         return buf
 
     def product(pairs, weights):
-        # What _push returns, from one dense product.
-        nonlocal dense
-        if dense is None:
-            dense = adjacency_matrix(g).astype(np.float64)
-        return (spent(pairs, weights).reshape(b, n) @ dense).ravel()
+        # What _push returns, from the weights times the adjacency matrix,
+        # summed band by band of adjacency rows in row order.  Each band is
+        # scattered from the CSR arrays into ``band`` and cleared after its
+        # product, so the full n x n matrix never exists.
+        nonlocal band
+        x = spent(pairs, weights).reshape(b, n)
+        if band is None:
+            band = np.zeros(rows * n)
+        acc = None
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            cells = np.repeat(np.arange(0, (r1 - r0) * n, n), deg[r0:r1])
+            cells += g.indices[g.indptr[r0]:g.indptr[r1]]
+            band[cells] = 1.0
+            part = x[:, r0:r1] @ band[:(r1 - r0) * n].reshape(r1 - r0, n)
+            band[cells] = 0.0
+            if acc is None:
+                acc = part
+            else:
+                acc += part
+            del part
+        return acc.ravel()
 
     for lo in range(0, n, block):
         b = min(block, n - lo)
@@ -311,7 +343,8 @@ def _shortest_paths(g: Graph, with_betweenness: bool = False):
 
     ``dist`` and ``sigma`` are n x n, row s for source s, and ``bet`` is the
     unnormalized betweenness over unordered node pairs, endpoints excluded
-    (None unless ``with_betweenness``).
+    (None unless ``with_betweenness``).  The metrics never stack the blocks;
+    the tests read the whole kernel through this.
     """
     require_dense_size(g)  # the stacked arrays are n x n
     n = g.n
@@ -353,9 +386,12 @@ def _per_source(g: Graph, with_betweenness: bool = False):
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Hop distances between all node pairs; unreachable pairs are +inf."""
-    dist, _, _ = _shortest_paths(g)
-    out = dist.astype(np.float64)
-    out[dist < 0] = np.inf
+    require_dense_size(g)  # the result is n x n
+    out = np.empty((g.n, g.n))
+    for lo, dist, _, _ in _source_blocks(g):
+        rows = out[lo:lo + len(dist)]
+        rows[...] = dist
+        rows[dist < 0] = np.inf
     return out
 
 

@@ -57,6 +57,6 @@ def sorted_adjacency(g: Graph) -> np.ndarray:
     diagonal; row sums come out non-increasing (they are the sorted degree
     sequence).
     """
-    a = adjacency_matrix(g)
     perm = node_ranking(g)
-    return a[np.ix_(perm, perm)]
+    # built after the ranking, so it is not alive while betweenness runs
+    return adjacency_matrix(g)[np.ix_(perm, perm)]

@@ -144,6 +144,31 @@ def clbp_reference(img):
     return hist / hist.sum()
 
 
+def clbp_whole_image(aprime):
+    """The joint local-pattern histogram computed over the whole image at
+    once, with the package's code tables: what ``clbp_features`` returned
+    before it counted in bands of rows, so the two must agree bit for bit."""
+    from netclass.features import _OFFSETS as offsets, _RIU2 as riu2, CLBP_BINS
+
+    img = np.asarray(aprime)
+    bits = img.astype(bool)
+    assert np.array_equal(bits, img)
+    h, w = bits.shape
+    center = bits[1:-1, 1:-1]
+    s_code = np.zeros(center.shape, dtype=np.uint8)
+    m_code = np.zeros(center.shape, dtype=np.uint8)
+    for p, (dy, dx) in enumerate(offsets):
+        neighbor = bits[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
+        s_code |= (neighbor | ~center).view(np.uint8) << p
+        m_code |= (neighbor ^ center).view(np.uint8) << p
+    if not m_code.any():
+        m_code[:] = 0xFF
+    c_bit = center | (not bits.any())
+    joint = (riu2[s_code] * 10 + riu2[m_code]) * 2 + c_bit
+    hist = np.bincount(joint.ravel(), minlength=CLBP_BINS).astype(np.float64)
+    return hist / hist.sum()
+
+
 def knn_oracle(train_x, train_labels, query):
     """Nearest training point by explicit scan; ties keep the earlier index."""
     best, best_d = 0, None

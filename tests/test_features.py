@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 import oracles
 from netclass import (
     FeatureError,
+    GenSpec,
     adjacency_matrix,
     clbp_features,
     degree_vector,
     from_edge_list,
+    generate,
     hu_moments,
     projection,
     read_feature_csv,
@@ -18,6 +20,7 @@ from netclass import (
     structural_features,
     write_feature_csv,
 )
+from netclass import features
 
 # ---------------------------------------------------------------------------
 # projection
@@ -99,6 +102,45 @@ def test_clbp_rotation_invariant():
     base = clbp_features(img)
     for k in (1, 2, 3):
         assert np.allclose(clbp_features(np.rot90(img, k)), base)
+
+
+def _clbp_images():
+    rng = np.random.default_rng(78)
+    for _ in range(40):
+        shape = rng.integers(3, 17, size=2)
+        yield (rng.random(shape) < rng.uniform(0.1, 0.9)).astype(float)
+    for fill in (0, 1):
+        yield np.full((5, 5), fill, dtype=np.uint8)
+        yield np.full((9, 3), bool(fill))
+        # constant but for one corner pixel, which only one window sees
+        img = np.full((8, 8), fill)
+        img[0, 0] = 1 - fill
+        yield img
+        img = np.full((8, 8), fill)
+        img[-1, -1] = 1 - fill
+        yield img
+    for spec in (GenSpec("BA", 150, 8, alpha=1.0, seed=1), GenSpec("ER", 120, 6, seed=2),
+                 GenSpec("WS", 100, 4, seed=3), GenSpec("GEO", 130, 6, seed=4),
+                 GenSpec("DM", 90, 4, seed=5)):
+        yield sorted_adjacency(generate(spec))
+
+
+# interior rows per band of clbp_features: the default (one band for every
+# image here), one row, and a count that divides few of the heights
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_clbp_bands_match_whole_image(rows, monkeypatch):
+    for img in _clbp_images():
+        if rows:
+            monkeypatch.setattr(features, "_BAND_PIXELS", rows * img.shape[1])
+        assert np.array_equal(clbp_features(img), oracles.clbp_whole_image(img))
+
+
+def test_clbp_rejects_values_past_the_first_band(monkeypatch):
+    img = np.zeros((9, 9))
+    img[-1, 4] = 2.0
+    monkeypatch.setattr(features, "_BAND_PIXELS", 9)  # one row per band
+    with pytest.raises(FeatureError, match="0/1 image"):
+        clbp_features(img)
 
 
 def test_clbp_too_small():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from netclass import GenSpec, InvalidSpecError, degree_vector, generate
+from netclass import GenSpec, InvalidSpecError, degree_vector, generate, generators
 from netclass.generators import (
     dataset_seed,
     geo_points,
@@ -124,9 +124,8 @@ def test_geo_strict_threshold():
     assert geographic_edges(pts, 0.2500001) == [(0, 1)]
 
 
-def test_geo_adjacency_matches_brute_force():
+def test_geo_adjacency_matches_brute_force(monkeypatch):
     spec = GenSpec("GEO", 120, 6, seed=9)
-    g = generate(spec)
     pts = geo_points(spec)
     r = geo_radius(120, 6)
     expected = {
@@ -135,7 +134,14 @@ def test_geo_adjacency_matches_brute_force():
         for j in range(i + 1, 120)
         if math.dist(pts[i], pts[j]) < r
     }
-    assert set(g.edges()) == expected
+    default = geographic_edges(pts, r)  # one block of all 120 points
+    assert set(generate(spec).edges()) == expected
+    # blocks of one point and of a count that does not divide 120 find the
+    # same pairs in the same order, so edge files stay byte-identical
+    for block in (1, 7):
+        monkeypatch.setattr(generators, "_GEO_PAIRS", block * 120)
+        assert geographic_edges(pts, r) == default
+        assert set(generate(spec).edges()) == expected
 
 
 def test_geo_point_determinism():

@@ -5,10 +5,11 @@ The kernel runs blocks of sources, and each BFS level of a block pushes its
 (source, node) pairs onto their neighbors, pulls into the pairs that can
 receive from their neighbors, or runs a dense matrix product, chosen by the
 edge work of push and pull.  The tests force each method on every level by
-replacing the choice function ``metrics._method``, and force block sizes by
-replacing ``metrics._BLOCK_PAIRS``; they check every method, every block size
-and the default mix against the brute-force oracles, against networkx and
-against each other.
+replacing the choice function ``metrics._method``, force block sizes by
+replacing ``metrics._BLOCK_PAIRS`` and the product's bands of adjacency rows
+by replacing ``metrics._BAND_PAIRS``; they check every method, block size and
+band size and the default mix against the brute-force oracles, against
+networkx and against each other.
 """
 
 import tracemalloc
@@ -31,6 +32,7 @@ from netclass import (
     generate,
     structural_features,
 )
+from netclass import graph as graph_module
 from netclass import metrics
 from netclass.generators import preset_rows
 from netclass.graph import MAX_DENSE_SIZE, GraphInputError, adjacency_matrix
@@ -78,6 +80,25 @@ def test_small_graphs_in_forced_blocks_match_oracles(blocks, monkeypatch):
     for _ in range(80):
         g = oracles.random_graph(rng, int(rng.integers(1, 14)), float(rng.uniform(0.05, 0.8)))
         _block(monkeypatch, BLOCKS[blocks], g.n)
+        dist, sigma, bet = metrics._shortest_paths(g, with_betweenness=True)
+        assert np.array_equal(dist, oracles.bfs_distances(g))
+        assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
+        assert np.allclose(bet, oracles.brute_betweenness(g), rtol=0, atol=1e-9)
+
+
+# Adjacency rows per band of the dense product, forced through
+# _BAND_PAIRS = r * n: one row, and a count that divides neither 1000 nor most
+# of the small sizes.
+BANDS = {"r1": 1, "r7": 7}
+
+
+@pytest.mark.parametrize("bands", sorted(BANDS))
+def test_small_graphs_in_forced_bands_match_oracles(bands, monkeypatch):
+    _force(monkeypatch, "dense")  # every level runs the banded product
+    rng = np.random.default_rng(4244)
+    for _ in range(80):
+        g = oracles.random_graph(rng, int(rng.integers(1, 14)), float(rng.uniform(0.05, 0.8)))
+        monkeypatch.setattr(metrics, "_BAND_PAIRS", BANDS[bands] * g.n)
         dist, sigma, bet = metrics._shortest_paths(g, with_betweenness=True)
         assert np.array_equal(dist, oracles.bfs_distances(g))
         assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
@@ -147,7 +168,9 @@ def test_large_graph_levels_take_expected_branch(name, monkeypatch):
         return adjacency_matrix(graph)
 
     monkeypatch.setattr(metrics, "_method", recording)
-    monkeypatch.setattr(metrics, "adjacency_matrix", counting)
+    # wherever the kernel would look the function up
+    monkeypatch.setattr(graph_module, "adjacency_matrix", counting)
+    monkeypatch.setattr(metrics, "adjacency_matrix", counting, raising=False)
     blocks = []
     # the generator runs a block's levels before it yields that block
     for _, dist, _, _ in metrics._source_blocks(GRAPHS[name](), with_betweenness=True):
@@ -155,8 +178,8 @@ def test_large_graph_levels_take_expected_branch(name, monkeypatch):
         blocks.append(f"{_run_lengths(chosen[:forward])} | {_run_lengths(chosen[forward:])}")
         chosen.clear()
     assert blocks == LEVELS[name]
-    # the dense matrix is built once, and only when some level runs the product
-    assert len(built) == any("dense" in b for b in blocks)
+    # the product reads bands scattered from the CSR arrays, never the matrix
+    assert built == []
 
 
 @pytest.fixture(scope="module", params=["ba1000", "disconnected", "ws500"])
@@ -196,6 +219,18 @@ def test_large_graph_forced_blocks_match_oracles(large, large_oracles, blocks, m
     assert np.array_equal(b_dist, large_oracles[0])
     assert np.array_equal(b_sigma, large_oracles[1])
     # the default's betweenness matches networkx in test_large_graph_matches_networkx
+    assert np.allclose(b_bet, bet, rtol=0, atol=1e-9)
+
+
+# ba1000 is the large graph whose levels go dense by default (see LEVELS)
+@pytest.mark.parametrize("large", ["ba1000"], indirect=True)
+@pytest.mark.parametrize("bands", sorted(BANDS))
+def test_large_graph_forced_bands_match_oracles(large, large_oracles, bands, monkeypatch):
+    g, (_, _, bet) = large
+    monkeypatch.setattr(metrics, "_BAND_PAIRS", BANDS[bands] * g.n)
+    b_dist, b_sigma, b_bet = metrics._shortest_paths(g, with_betweenness=True)
+    assert np.array_equal(b_dist, large_oracles[0])
+    assert np.array_equal(b_sigma, large_oracles[1])
     assert np.allclose(b_bet, bet, rtol=0, atol=1e-9)
 
 
@@ -264,11 +299,15 @@ def test_size_cap_applies_without_a_dense_level():
 
 # tracemalloc peak, in n x n float64 arrays, of betweenness on the BA cells of
 # scalefree-desk (one per attachment exponent) and of structural_features on
-# ws500, as measured.  The kernel's block arrays hold about 1 MB each, and
-# every BA cell but the third also builds the n x n float adjacency for its
-# dense levels.  Half an array of slack leaves any mutant that keeps one more
-# n x n float64 array, such as the stacked distances, over the bound.
-PEAKS = {0: 2.05, 1: 2.28, 2: 1.26, 3: 2.20, "ws500": 4.28}
+# ws500, and of all_pairs_distances on the second BA cell, as measured.  The
+# kernel's block arrays hold about 1 MB each, and every BA cell but the third
+# also holds one band of the adjacency (4 MB, 0.52 of an array at n = 1000)
+# for its dense levels; all_pairs_distances adds its n x n result.  A quarter
+# of an array of slack leaves any mutant that keeps one more n x n float64
+# array, such as the stacked distances or the whole float adjacency, over the
+# bound.
+PEAKS = {0: 1.68, 1: 1.81, 2: 1.26, 3: 1.73, "ws500": 4.28, "distances": 2.37}
+SLACK = 0.25
 
 
 def _peak(fn, g):
@@ -283,9 +322,22 @@ def _peak(fn, g):
 @pytest.mark.parametrize("index", range(4))
 def test_hub_heavy_peak_memory(index):
     g = _scalefree(index)()
-    assert _peak(betweenness, g) <= (PEAKS[index] + 0.5) * g.n * g.n * 8
+    assert _peak(betweenness, g) <= (PEAKS[index] + SLACK) * g.n * g.n * 8
 
 
 def test_structural_peak_memory():
     g = GRAPHS["ws500"]()
-    assert _peak(structural_features, g) <= (PEAKS["ws500"] + 0.5) * g.n * g.n * 8
+    assert _peak(structural_features, g) <= (PEAKS["ws500"] + SLACK) * g.n * g.n * 8
+
+
+def test_all_pairs_distances_peak_memory():
+    g = _scalefree(1)()
+    assert _peak(all_pairs_distances, g) <= (PEAKS["distances"] + SLACK) * g.n * g.n * 8
+
+
+def test_dense_level_peak_memory():
+    # Every block of this graph runs the product on its widest levels.  Its
+    # betweenness peaked at 13.3 MB as measured, one 4 MB band included; the
+    # whole float adjacency alone would be 32 MB.
+    g = generate(GenSpec("ER", 2000, 100, seed=1))
+    assert _peak(betweenness, g) <= 16 * 2**20
