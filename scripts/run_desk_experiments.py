@@ -11,8 +11,9 @@ two runs (say, of two commits or two NETCLASS_THREADS settings) compare with
 one diff of their last lines.
 
 Expect about 2 minutes single-threaded on a 2-vCPU host with one BLAS
-thread; set NETCLASS_THREADS to spread feature extraction over cores (about
-70 seconds with 2).
+thread; set NETCLASS_THREADS to spread generation and feature extraction
+over cores (about 70 seconds with 2).  Each generation and features stage
+prints its wall time.
 """
 
 import argparse
@@ -65,9 +66,11 @@ def run(args):
         out = work / preset
         if not (out / "manifest.csv").exists():
             print(f"== generating {preset} (seed {args.seed})")
+            t0 = time.perf_counter()
             if cli(["gen", "--preset", preset, "--seed", str(args.seed),
                     "--out", str(out)]):
                 return 1
+            print(f"   {time.perf_counter() - t0:.1f}s")
         datasets[preset] = out / "manifest.csv"
 
     results = []

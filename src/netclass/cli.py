@@ -7,10 +7,12 @@ features can enter at the CSV boundary.  All randomness flows from ``--seed``
 and every run with the same flags is byte-identical.  ``classify`` sets only
 the classifier, fold count and seed: ``knn`` is 1-NN, and ``svm`` trains with
 the constants ``classify.SVM_C`` and ``classify.SVM_EPOCHS``.
-``NETCLASS_THREADS`` sets the worker count for feature extraction.  On Linux
-the workers are forked from the CLI process, so they run the code it has
-loaded; elsewhere they are spawned as fresh interpreters.  Output bytes
-depend on neither the worker count nor the start method.
+``NETCLASS_THREADS`` sets the worker count of ``gen`` (one task per graph
+drawn and written) and of ``features`` (one task per graph read and
+described).  On Linux the workers are forked from the CLI process, so they
+run the code it has loaded; elsewhere they are spawned as fresh
+interpreters.  Output bytes depend on neither the worker count nor the start
+method.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .ordering import sorted_adjacency
 
 # Spawned workers each start an interpreter and import numpy and netclass: on
 # a 2-vCPU host a pool of 2 was ready 0.2 to 0.54 s after it was created,
-# paid again by every features stage.  Forked workers inherit the loaded
-# modules and were ready in under 10 ms.  forkserver is not used: it was no
+# paid again by every gen and features stage.  Forked workers inherit the
+# loaded modules and were ready in under 10 ms.  forkserver is not used: it was no
 # faster, and its workers are not children of this process, so wait4 on the
 # CLI no longer counts their memory.  Windows cannot fork and macOS's
 # Accelerate BLAS is not fork-safe, so they keep spawn.
@@ -116,16 +118,28 @@ def _feature_row(task):
     return values.tolist()
 
 
+def _write_graph(task):
+    spec, path = task
+    write_edge_list(generate(spec), path)
+
+
+def _fan_out(fn, tasks: list) -> list:
+    """``[fn(t) for t in tasks]``, spread over ``NETCLASS_THREADS`` workers
+    (never more than there are tasks), in task order."""
+    workers = min(_threads(), len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with get_context(START_METHOD).Pool(workers) as pool:
+        return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+
+
 def cmd_generate(args) -> int:
     rows = preset_rows(args.preset, args.seed, count_override=args.count)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rel_paths = []
-    for row in rows:
-        name = row.filename()
-        write_edge_list(generate(row.spec), out / name)
-        rel_paths.append(name)
-    write_manifest(rows, rel_paths, out / MANIFEST_NAME)
+    names = [row.filename() for row in rows]
+    _fan_out(_write_graph, [(row.spec, str(out / name)) for row, name in zip(rows, names)])
+    write_manifest(rows, names, out / MANIFEST_NAME)
     print(f"wrote {len(rows)} graphs and {MANIFEST_NAME} to {out}")
     return 0
 
@@ -147,12 +161,7 @@ def cmd_features(args) -> int:
     base = manifest.parent
     tasks = [(str(base / p), kind, which) for p, _, _ in triples]
     labels = [label for _, label, _ in triples]
-    workers = min(_threads(), len(tasks))
-    if workers > 1:
-        with get_context(START_METHOD).Pool(workers) as pool:
-            rows = pool.map(_feature_row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-    else:
-        rows = [_feature_row(t) for t in tasks]
+    rows = _fan_out(_feature_row, tasks)
     write_feature_csv(args.out, labels, np.array(rows, dtype=np.float64))
     print(f"wrote {len(rows)} x {len(rows[0])} features to {args.out}")
     return 0

@@ -9,7 +9,8 @@ Five model families are supported:
 * ``BA``: growth with degree-biased attachment of strength ``alpha``
   (``alpha=1`` is the linear classic; larger values concentrate the hubs).
 * ``GEO``: random geometric graphs, points uniform in the unit square,
-  connected below a radius chosen so the expected mean degree is ``k_bar``.
+  connected below a radius chosen so the expected mean degree is ``k_bar``;
+  the pairs are found on a grid of cells about one radius wide.
 * ``DM``: triangle growth, each new node picks ``k_bar / 4`` distinct
   existing edges and connects to both endpoints of each.
 
@@ -162,28 +163,35 @@ def gen_barabasi_albert(spec: GenSpec) -> Graph:
     probability proportional to ``degree ** alpha``; degrees are frozen at
     the arrival's start.  Draw order: per arrival, uniforms in [0, 1) mapped
     through the cumulative weight table, redrawing targets already chosen by
-    this arrival.
+    this arrival.  The draws are batched per arrival: ``c`` uniforms at once,
+    then, while ``d < c`` targets are distinct, ``c - d`` more.  A one-at-a-time
+    loop that stops at the ``c``-th distinct target consumes exactly these
+    uniforms, so the stream, and the graph, are the same either way.
     """
     _expect(spec, "BA")
     n, c, alpha = spec.n, spec.k_bar // 2, float(spec.alpha)
     rng = make_rng(spec.seed)
     core = c + 1
-    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    targets = np.empty((n - core, c), dtype=np.int64)
     deg = np.zeros(n)
     deg[:core] = c
+    # per-node weight deg ** alpha, updated only where a degree changed
+    w = deg ** alpha
     for t in range(core, n):
-        cum = np.cumsum(deg[:t] ** alpha)
+        cum = np.cumsum(w[:t])
         total = cum[-1]
-        chosen: set[int] = set()
+        chosen = set(np.searchsorted(cum, rng.random(c) * total, side="right").tolist())
         while len(chosen) < c:
-            target = int(np.searchsorted(cum, rng.random() * total, side="right"))
-            if target not in chosen:
-                chosen.add(target)
-        for target in chosen:
-            edges.append((t, target))
-            deg[target] += 1
+            redraw = rng.random(c - len(chosen)) * total
+            chosen.update(np.searchsorted(cum, redraw, side="right").tolist())
+        changed = np.array([*chosen, t])  # the c targets, then the arrival
+        targets[t - core] = changed[:-1]
+        deg[changed] += 1
         deg[t] = c
-    return from_edge_list(n, edges)
+        w[changed] = deg[changed] ** alpha
+    core_u, core_v = np.triu_indices(core, k=1)
+    src = np.concatenate([core_u, np.repeat(np.arange(core, n), c)])
+    return from_edge_list(n, np.column_stack([src, np.concatenate([core_v, targets.ravel()])]))
 
 
 def geo_points(spec: GenSpec) -> np.ndarray:
@@ -201,26 +209,49 @@ def geo_radius(n: int, k_bar: int) -> float:
     return math.sqrt(k_bar / (math.pi * (n - 1)))
 
 
-# geographic_edges compares blocks of max(1, _GEO_PAIRS // n) points with all
-# n points, so its temporaries span about _GEO_PAIRS point pairs whatever n is.
-# Generating six GEO n=500 k=8 graphs took 0.06-0.08 s from 1 << 14 to 1 << 17
-# and 0.11 s in one block of all 500 points; the tracemalloc peak of one graph
-# was 1.3 MB at 1 << 15 against 9.6 MB in one block.
-_GEO_PAIRS = 1 << 15
+# geographic_edges sorts the points into square cells of side at least the
+# radius, so a pair within the radius lies in the same or in adjacent cells.
+# The side is the radius widened by this relative margin, which keeps that
+# true when rounding moves a point across a cell border, and at least the
+# point spread over isqrt(n) cells per axis, which keeps the grid to about n
+# cells however small the radius.  Generating six GEO n=500 k=8 graphs took
+# 1.5 ms per graph this way, against 14 ms comparing each point with all n.
+_CELL_MARGIN = 1 + 1e-9
 
 
-def geographic_edges(points: np.ndarray, radius: float) -> list[tuple[int, int]]:
-    """All pairs at Euclidean distance strictly below ``radius``."""
+def geographic_edges(points: np.ndarray, radius: float) -> np.ndarray:
+    """All pairs at Euclidean distance strictly below ``radius``.
+
+    Returns an ``(m, 2)`` int64 array of ``(i, j)``, ``i < j``, in ascending
+    order.  A pair is an edge iff ``(d * d).sum() < radius * radius`` for
+    ``d = points[i] - points[j]``; only points in the 3 x 3 cells around a
+    point's own cell are tested against it.
+    """
     n = points.shape[0]
-    r2 = radius * radius
-    out: list[tuple[int, int]] = []
-    block = max(1, _GEO_PAIRS // n)
-    for lo in range(0, n, block):
-        diff = points[lo:lo + block, None, :] - points[None, :, :]
-        i, j = np.nonzero((diff * diff).sum(axis=-1) < r2)
-        i += lo
-        out += zip(i[i < j].tolist(), j[i < j].tolist())
-    return out
+    if n < 2 or not radius > 0:
+        return np.empty((0, 2), dtype=np.int64)
+    lo = points.min(axis=0)
+    spread = float((points.max(axis=0) - lo).max())
+    side = max(radius * _CELL_MARGIN, spread / math.isqrt(n))
+    # cell coordinates from 1, so every cell has all eight neighbours in the grid
+    cell = ((points - lo) // side).astype(np.int64) + 1
+    rows = int(cell[:, 1].max()) + 2
+    key = cell[:, 0] * rows + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    # points of cell k are order[first[k]:first[k + 1]]
+    first = np.searchsorted(key[order], np.arange((int(cell[:, 0].max()) + 2) * rows + 1))
+    step = np.arange(-1, 2)
+    # the 9 cells around each point, and where their points sit in order
+    near = (key[:, None] + (step[:, None] * rows + step).ravel()).ravel()
+    start, count = first[near], first[near + 1] - first[near]
+    i = np.repeat(np.arange(n).repeat(9), count)
+    offset = np.repeat(start - np.cumsum(count) + count, count)
+    j = order[offset + np.arange(offset.size)]
+    i, j = i[i < j], j[i < j]
+    d = points[i] - points[j]
+    hit = (d * d).sum(axis=-1) < radius * radius
+    pairs = np.column_stack([i[hit], j[hit]])
+    return pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
 
 
 def gen_geographic(spec: GenSpec) -> Graph:
@@ -228,7 +259,8 @@ def gen_geographic(spec: GenSpec) -> Graph:
 
     Edge ``(i, j)`` iff the point distance is strictly below
     :func:`geo_radius`.  The adjacency is exactly the distance-threshold
-    predicate on :func:`geo_points`, so it can be rechecked by brute force.
+    predicate on :func:`geo_points`, so it can be rechecked by brute force;
+    :func:`geographic_edges` finds the pairs on a grid of cells.
     """
     _expect(spec, "GEO")
     pts = geo_points(spec)

@@ -130,15 +130,57 @@ def degree_vector(g: Graph) -> np.ndarray:
     return np.diff(g.indptr)
 
 
-def read_text_lines(path, error: type[ValueError]) -> list[str]:
-    """The lines of a UTF-8 text file; other bytes raise ``error`` naming it."""
+def read_text(path, error: type[ValueError]) -> str:
+    """A UTF-8 text file with universal newlines; other bytes raise ``error``
+    naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8").split("\n")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def read_text_lines(path, error: type[ValueError]) -> list[str]:
+    """The lines of :func:`read_text`."""
+    return read_text(path, error).split("\n")
+
+
 _N_DIRECTIVE = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")
+# Longest digit run that _digit_lines reads: 10**9 - 1 fits int64.
+_MAX_DIGITS = 9
+
+
+def _digit_lines(raw: bytes):
+    """Split UTF-8 text into its digit lines and the rest.
+
+    A digit line holds two runs of at most ``_MAX_DIGITS`` ASCII digits,
+    with only spaces and tabs around them; numpy reads those.  Returns
+    ``(pairs, linenos, others)``: the (m, 2) int64 values of the digit lines,
+    their 1-based line numbers, and ``{line number: text}`` of every line that
+    is neither a digit line nor empty, plus the first digit line with a value
+    past ``MAX_DENSE_SIZE``.
+    """
+    data = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(data == 10), data.size)  # line k is [starts[k], ends[k])
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    digit = (data - 48) < 10  # by uint8 wraparound
+    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    run_start, run_stop = bounds[::2], bounds[1::2]
+    runs = np.diff(np.searchsorted(run_start, np.append(starts, data.size + 1)))
+    other = ~digit & (data != 32) & (data != 9) & (data != 10)
+    slow = (runs != 0) & (runs != 2)
+    slow[np.searchsorted(ends, np.flatnonzero(other))] = True
+    slow[np.searchsorted(ends, run_start[run_stop - run_start > _MAX_DIGITS])] = True
+    del digit, bounds, run_start, run_stop, other
+    rest = np.flatnonzero(slow)
+    linenos = np.flatnonzero((runs == 2) & ~slow) + 1
+    pairs = np.empty(0, dtype=np.int64)
+    if linenos.size:  # fromstring reads whitespace alone as one 0
+        body = b"\n".join(raw[a:b] for a, b in zip(np.append(0, ends[rest]).tolist(),
+                                                     np.append(starts[rest], data.size).tolist()))
+        pairs = np.fromstring(body, dtype=np.int64, sep=" ")
+    pairs = pairs.reshape(-1, 2)
+    rest = [*rest.tolist(), *(linenos[(pairs >= MAX_DENSE_SIZE).any(axis=1)][:1] - 1).tolist()]
+    return pairs, linenos, {k + 1: raw[starts[k]:ends[k]].decode() for k in sorted(rest)}
 
 
 def read_edge_list(path) -> Graph:
@@ -150,11 +192,17 @@ def read_edge_list(path) -> Graph:
     node count is one plus the largest index seen.  Node counts past
     ``MAX_DENSE_SIZE`` are refused while parsing, before any per-node
     storage exists.  Errors name the file, and the line where one is at fault.
+
+    Plain digit lines are read with numpy into int arrays (see
+    :func:`_digit_lines`).  Every other line, and the first digit line past
+    the cap, goes through the rules above one by one, in file order, so the
+    first fault in the file is the one named.
     """
+    pairs, pair_lines, others = _digit_lines(read_text(path, GraphInputError).encode())
     n_directive: int | None = None
     edges: list[tuple[int, int]] = []
     linenos: list[int] = []
-    for lineno, raw in enumerate(read_text_lines(path, GraphInputError), start=1):
+    for lineno, raw in others.items():
         line = raw.strip()
         if not line:
             continue
@@ -189,14 +237,16 @@ def read_edge_list(path) -> Graph:
         edges.append((u, v))
         linenos.append(lineno)
 
-    top = max(map(max, edges), default=-1)
+    pairs = np.concatenate([pairs, np.array(edges, dtype=np.int64).reshape(-1, 2)])
+    top = int(pairs.max(initial=-1))
     n = n_directive if n_directive is not None else top + 1
     if n <= 0:
         raise GraphInputError(f"{path}: no edges and no node-count directive")
     if top >= n:
-        bad = next(ln for (u, v), ln in zip(edges, linenos) if max(u, v) >= n)
+        lines = np.concatenate([pair_lines, np.array(linenos, dtype=np.int64)])
+        bad = lines[pairs.max(axis=1) >= n].min()
         raise GraphInputError(f"{path}:{bad}: node index exceeds declared n={n}")
-    return from_edge_list(n, edges)
+    return from_edge_list(n, pairs)
 
 
 def write_edge_list(g: Graph, path) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, degree_vector
+from .graph import Graph, degree_vector, require_dense_size
 from .metrics import betweenness
 
 # Betweenness values are quantized to this many decimals before they are
@@ -55,8 +55,13 @@ def sorted_adjacency(g: Graph) -> np.ndarray:
 
     Simultaneous row/column permutation preserves symmetry and the zero
     diagonal; row sums come out non-increasing (they are the sorted degree
-    sequence).
+    sequence).  Each edge is set straight at its ranked cell,
+    ``a[rank[u], rank[v]] = 1``, so no unsorted matrix is built.
     """
     perm = node_ranking(g)
-    # built after the ranking, so it is not alive while betweenness runs
-    return adjacency_matrix(g)[np.ix_(perm, perm)]
+    require_dense_size(g)
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[perm] = np.arange(g.n)
+    a = np.zeros((g.n, g.n), dtype=np.uint8)
+    a[np.repeat(rank, degree_vector(g)), rank[g.indices]] = 1
+    return a

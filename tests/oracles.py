@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and independent of the package's
 vectorized code paths: plain-Python BFS, explicit shortest-path enumeration
-via path-count products, per-pixel descriptor loops, pairwise AUC counting.
+via path-count products, per-pixel descriptor loops, pairwise AUC counting,
+one-draw-at-a-time graph growth.
 """
 
 from __future__ import annotations
@@ -223,3 +224,84 @@ def grid_graph(side):
     edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
     edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
     return from_edge_list(side * side, edges)
+
+
+def barabasi_albert(spec):
+    """The BA generator drawing one uniform at a time: per arrival, the
+    weights ``deg ** alpha`` of the whole prefix, then single draws through
+    their cumulative table until ``c`` distinct targets are chosen."""
+    from netclass.graph import from_edge_list
+    from netclass.rng import make_rng
+
+    n, c, alpha = spec.n, spec.k_bar // 2, float(spec.alpha)
+    rng = make_rng(spec.seed)
+    core = c + 1
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    deg = np.zeros(n)
+    deg[:core] = c
+    for t in range(core, n):
+        cum = np.cumsum(deg[:t] ** alpha)
+        total = cum[-1]
+        chosen: set[int] = set()
+        while len(chosen) < c:
+            target = int(np.searchsorted(cum, rng.random() * total, side="right"))
+            if target not in chosen:
+                chosen.add(target)
+        for target in chosen:
+            edges.append((t, target))
+            deg[target] += 1
+        deg[t] = c
+    return from_edge_list(n, edges)
+
+
+def read_edge_list_by_line(path):
+    """The edge-list parser that reads every line with ``str.split`` and
+    ``int``, keeping each edge as a tuple beside its line number."""
+    import re
+
+    from netclass.graph import (MAX_DENSE_SIZE, GraphInputError, from_edge_list,
+                                read_text_lines)
+
+    directive = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")
+    n_directive = None
+    edges, linenos = [], []
+    for lineno, raw in enumerate(read_text_lines(path, GraphInputError), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = directive.match(line)
+            if m:
+                if n_directive is not None:
+                    raise GraphInputError(f"{path}:{lineno}: duplicate node-count directive")
+                n_directive = int(m.group(1))
+                if not 0 < n_directive <= MAX_DENSE_SIZE:
+                    raise GraphInputError(
+                        f"{path}:{lineno}: node count {n_directive} is outside "
+                        f"1..{MAX_DENSE_SIZE}, the dense size cap"
+                    )
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphInputError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphInputError(
+                f"{path}:{lineno}: non-integer node index in {line!r}"
+            ) from None
+        if not (0 <= u < MAX_DENSE_SIZE and 0 <= v < MAX_DENSE_SIZE):
+            raise GraphInputError(
+                f"{path}:{lineno}: node index outside 0..{MAX_DENSE_SIZE - 1}, "
+                f"the dense size cap, in {line!r}"
+            )
+        edges.append((u, v))
+        linenos.append(lineno)
+    top = max(map(max, edges), default=-1)
+    n = n_directive if n_directive is not None else top + 1
+    if n <= 0:
+        raise GraphInputError(f"{path}: no edges and no node-count directive")
+    if top >= n:
+        bad = next(ln for (u, v), ln in zip(edges, linenos) if max(u, v) >= n)
+        raise GraphInputError(f"{path}:{bad}: node index exceeds declared n={n}")
+    return from_edge_list(n, edges)

@@ -118,6 +118,23 @@ def test_features_parallel_matches_serial(smoke_dataset, tmp_path, capsys, monke
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default", "spawn"])
+def test_gen_parallel_matches_serial(tmp_path, capsys, monkeypatch, start_method):
+    argv = ["gen", "--preset", "synthetic-desk", "--seed", "11", "--count", "1"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "s"))
+    assert code == 0, err
+    if start_method:
+        monkeypatch.setattr(cli, "START_METHOD", start_method)
+    monkeypatch.setenv("NETCLASS_THREADS", "2")
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "p"))
+    assert code == 0, err
+    serial = sorted(p.name for p in (tmp_path / "s").iterdir())
+    assert serial == sorted(p.name for p in (tmp_path / "p").iterdir())
+    assert len(serial) == 1 + 12
+    for name in serial:
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+
 def test_pool_is_capped_at_the_task_count(smoke_dataset, tmp_path, capsys, monkeypatch):
     sizes = []
 
@@ -137,13 +154,21 @@ def test_pool_is_capped_at_the_task_count(smoke_dataset, tmp_path, capsys, monke
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing.get_context(cli.START_METHOD), "Pool", SerialPool)
-    # the smoke set holds 24 graphs
+    # the smoke set holds 24 graphs, and gen writes them again
+    stages = (
+        ("features", "--manifest", str(smoke_dataset / "manifest.csv"),
+         "--extractor", "projection", "--out", str(tmp_path / "f.csv")),
+        ("gen", "--preset", "synthetic-desk", "--seed", "11", "--count", "2",
+         "--out", str(tmp_path / "g")),
+    )
     for threads, expected in (("64", [24]), ("2", [24, 2]), ("1", [24, 2])):
         monkeypatch.setenv("NETCLASS_THREADS", threads)
-        code, _, err = run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
-                           "--extractor", "projection", "--out", str(tmp_path / "f.csv"))
-        assert code == 0, err
-        assert sizes == expected
+        for argv in stages:
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        assert sizes == [size for size in expected for _ in stages]
+    assert (tmp_path / "g" / "manifest.csv").read_bytes() == (
+        smoke_dataset / "manifest.csv").read_bytes()
 
 
 @pytest.mark.skipif(cli.START_METHOD != "fork",

@@ -3,7 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from netclass import GenSpec, InvalidSpecError, degree_vector, generate, generators
 from netclass.generators import (
     dataset_seed,
@@ -117,14 +120,83 @@ def test_ba_alpha_concentrates_hubs():
     assert np.median(hi) > np.median(lo)
 
 
+def _ba_cells(seed):
+    # the first replicate of every BA (n, k_bar, alpha) cell of each preset;
+    # a spec found in two presets is kept once
+    cells = {}
+    for preset in generators.PRESETS:
+        for row in preset_rows(preset, seed):
+            s = row.spec
+            if s.model == "BA":
+                cells.setdefault((preset, s.n, s.k_bar, s.alpha), s)
+    return list(dict.fromkeys(cells.values()))
+
+
+@pytest.mark.parametrize("seed", [7, 901])
+def test_ba_matches_one_draw_reference_on_every_preset_cell(seed):
+    specs = _ba_cells(seed)
+    # synthetic-full's 112 cells hold synthetic-desk's first replicates and
+    # scalefree's alpha=0.5 one; scalefree's others start at replicate 0
+    assert len(specs) == 4 * 7 * 4 + 3
+    for spec in specs:
+        g, want = generate(spec), oracles.barabasi_albert(spec)
+        assert np.array_equal(g.indptr, want.indptr), spec
+        assert np.array_equal(g.indices, want.indices), spec
+
+
+def test_ba_redraws_match_one_draw_reference(monkeypatch):
+    draws = []
+    make_rng = generators.make_rng
+
+    class Counting:
+        """Counts the uniforms a generator draws from its stream."""
+
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def random(self, size):
+            draws[-1] += size
+            return self.rng.random(size)
+
+    monkeypatch.setattr(generators, "make_rng", Counting)
+    redrawn = []
+
+    @given(n=st.integers(3, 40), c=st.integers(1, 6),
+           alpha=st.floats(0.05, 3.0), seed=st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def check(n, c, alpha, seed):
+        assume(2 * c < n)
+        spec = GenSpec("BA", n, 2 * c, alpha=alpha, seed=seed)
+        draws.append(0)
+        assert generate(spec) == oracles.barabasi_albert(spec)
+        redrawn.append(draws[-1] > c * (n - c - 1))
+
+    check()
+    # repeated targets are common at small n and large alpha
+    assert sum(redrawn) >= len(redrawn) // 10  # about 30% in practice
+
+
 def test_geo_strict_threshold():
     # dyadic coordinates keep the distance exactly representable
     pts = np.array([[0.125, 0.5], [0.375, 0.5], [0.9, 0.9]])
-    assert geographic_edges(pts, 0.25) == []  # distance exactly r: no edge
-    assert geographic_edges(pts, 0.2500001) == [(0, 1)]
+    assert geographic_edges(pts, 0.25).tolist() == []  # distance exactly r: no edge
+    assert geographic_edges(pts, 0.2500001).tolist() == [[0, 1]]
 
 
-def test_geo_adjacency_matches_brute_force(monkeypatch):
+def _brute_geo_pairs(pts, r):
+    # the generator's predicate over all n^2 pairs, no grid
+    d = pts[:, None, :] - pts[None, :, :]
+    i, j = np.nonzero((d * d).sum(axis=-1) < r * r)
+    return np.column_stack([i[i < j], j[i < j]])
+
+
+def _dyadic_lattice(step, size):
+    # every point of a grid of spacing step, exactly representable
+    ax = np.arange(size) * step
+    return np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def test_geo_adjacency_matches_brute_force():
     spec = GenSpec("GEO", 120, 6, seed=9)
     pts = geo_points(spec)
     r = geo_radius(120, 6)
@@ -134,14 +206,49 @@ def test_geo_adjacency_matches_brute_force(monkeypatch):
         for j in range(i + 1, 120)
         if math.dist(pts[i], pts[j]) < r
     }
-    default = geographic_edges(pts, r)  # one block of all 120 points
     assert set(generate(spec).edges()) == expected
-    # blocks of one point and of a count that does not divide 120 find the
-    # same pairs in the same order, so edge files stay byte-identical
-    for block in (1, 7):
-        monkeypatch.setattr(generators, "_GEO_PAIRS", block * 120)
-        assert geographic_edges(pts, r) == default
-        assert set(generate(spec).edges()) == expected
+    assert np.array_equal(geographic_edges(pts, r), _brute_geo_pairs(pts, r))
+
+
+@pytest.mark.parametrize("case", [
+    "one-cell", "radius-past-spread", "inverse-radius-whole", "on-borders",
+    "exactly-r", "just-under-r", "under-r-across-borders", "tiny-radius", "coincident",
+])
+def test_geo_grid_edge_cases(case):
+    rng = np.random.default_rng(5)
+    pts, r = rng.random((60, 2)), 0.25
+    if case == "one-cell":
+        r = 1.0
+    elif case == "radius-past-spread":
+        r = 3.0
+    elif case == "inverse-radius-whole":
+        pts = np.concatenate([pts, _dyadic_lattice(0.125, 8)])  # 1/r = 4 cells
+    elif case == "on-borders":
+        # points on the cell borders of r = 1/8, and a radius just past a whole 1/r
+        pts, r = _dyadic_lattice(0.125, 8), 0.125 + 2.0**-40
+    elif case == "exactly-r":
+        # lattice neighbours exactly r apart (no edge), diagonals further
+        pts, r = _dyadic_lattice(0.25, 4), 0.25
+    elif case == "just-under-r":
+        pts, r = _dyadic_lattice(0.25, 4), 0.25 + 2.0**-50
+    elif case == "under-r-across-borders":
+        # pairs just under r apart whose first point sits just below a multiple
+        # of r, so cells narrower than r would put them two cells apart
+        x = np.outer([r, 2 * r], 1 - np.geomspace(1e-6, 1e-12, 31)).ravel()
+        pts = np.concatenate([[[0.0, 0.0]], np.column_stack([x, 0 * x]),
+                              np.column_stack([x + r * (1 - 1e-12), 0 * x])])
+    elif case == "tiny-radius":
+        r = 1e-12  # far more cells than points if the grid followed r alone
+    elif case == "coincident":
+        pts = np.repeat(pts[:3], 4, axis=0)
+    got = geographic_edges(pts, r)
+    assert got.dtype == np.int64 and got.shape[1] == 2
+    assert np.array_equal(got, _brute_geo_pairs(pts, r))
+    if case == "exactly-r":
+        assert got.size == 0
+    if case == "just-under-r":
+        assert len(got) == 2 * 4 * 3  # the lattice's horizontal and vertical neighbours
+    assert geographic_edges(pts[:1], r).shape == (0, 2)
 
 
 def test_geo_point_determinism():

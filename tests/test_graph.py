@@ -2,9 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from netclass import (
     Graph,
     GraphInputError,
@@ -179,3 +180,38 @@ def test_edge_list_errors_name_the_line(tmp_path):
     path.write_text("# just a comment\n")
     with pytest.raises(GraphInputError, match="no edges"):
         read_edge_list(path)
+
+
+# tokens that int() reads or refuses in ways plain digit runs do not cover
+_tokens = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(MAX_DENSE_SIZE - 2, MAX_DENSE_SIZE + 1).map(str),
+    st.sampled_from(["007", "0000000000001", "12345678901", "+3", "-1", "1_0", "٣",
+                     "x", "#", "1.0", "", "n=3"]),
+)
+_gaps = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\xa0"])
+_lines = st.one_of(
+    st.tuples(_gaps, _tokens, _gaps, _tokens, _gaps).map("".join),
+    st.tuples(st.sampled_from(["", " ", "\t"]), st.integers(0, 30), st.integers(0, 30))
+    .map(lambda t: f"{t[0]}{t[1]} {t[2]}"),
+    st.integers(0, MAX_DENSE_SIZE + 1).map(lambda k: f"# n={k}"),
+    st.sampled_from(["", " ", "# comment", " # n = 12 ", "#n=3x", "\x0c"]),
+    st.lists(_tokens, max_size=3).map(" ".join),
+)
+
+
+@given(st.lists(_lines, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.booleans())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_edge_list_parser_matches_line_by_line_reference(tmp_path, lines, newline, last):
+    path = tmp_path / "g.edges"
+    path.write_bytes((newline.join(lines) + (newline if last else "")).encode())
+    try:
+        want = oracles.read_edge_list_by_line(path)
+    except GraphInputError as exc:
+        with pytest.raises(GraphInputError) as got:
+            read_edge_list(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert read_edge_list(path) == want
