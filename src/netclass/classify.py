@@ -216,24 +216,12 @@ def _auc_binary(scores: np.ndarray, positive: np.ndarray):
     neg = positive.size - pos
     if pos == 0 or neg == 0:
         return None
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    p = positive[order]
-    area = 0.0
-    tp = fp = 0
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and s[j] == s[i]:
-            j += 1
-        gained_tp = int(p[i:j].sum())
-        gained_fp = (j - i) - gained_tp
-        # trapezoid over the tie group: ties contribute half wins
-        area += gained_fp * (tp + (tp + gained_tp)) / 2.0
-        tp += gained_tp
-        fp += gained_fp
-        i = j
-    return area / (pos * neg)
+    # Mann-Whitney: each score's 1-based rank, tied scores sharing the mean
+    # of their ranks; every term is an exact half-integer
+    ranked = np.sort(scores)
+    midrank = (np.searchsorted(ranked, scores, "left")
+               + np.searchsorted(ranked, scores, "right") + 1) / 2.0
+    return float(midrank[positive].sum() - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
 def auc_ovr(scores: np.ndarray, labels, classes):

@@ -11,7 +11,9 @@ are provided:
   pass the unsorted adjacency matrix.
 * ``clbp_features``: completed local binary patterns over 3x3 windows,
   combining the sign, magnitude and center components into one joint
-  rotation-invariant histogram of 200 bins.
+  rotation-invariant histogram of 200 bins.  A sorted matrix is sparse, so
+  only the windows around its set pixels are read; the all-zero rest share
+  one bin.
 * ``hu_moments``: the seven classical moment invariants, log-compressed.
 """
 
@@ -67,15 +69,21 @@ _RIU2 = _riu2_table()
 CLBP_BINS = 200  # 10 sign bins x 10 magnitude bins x 2 center bins
 
 
-# clbp_features counts its histogram over bands of r = max(1, _BAND_PIXELS // w)
-# interior rows of a w-pixel-wide image, each read with the row above and the
-# row below it, so its temporaries, about 12 bytes per pixel, span about
-# _BAND_PIXELS pixels whatever the image size.  Over the five sorted images of
-# one scalefree-desk seed (n=1000), best of three runs: 0.137 s at 1 << 18,
-# 0.145-0.158 s from 1 << 15 to 1 << 20 and 0.146 s for the whole image at
-# once, whose tracemalloc peak was 12.4 MB at n=1000 and 49.5 MB at n=2000,
-# against 3.0 MB at 1 << 18 for both.
-_BAND_PIXELS = 1 << 18
+def _joint_table() -> np.ndarray:
+    # The joint bin of a 3x3 window of a non-constant 0/1 image, indexed by
+    # its nine cells as bits in row-major order, the center being bit 4.
+    code = np.arange(512)
+    center = (code >> 4) & 1
+    s_code = np.zeros(512, dtype=np.int64)
+    m_code = np.zeros(512, dtype=np.int64)
+    for p, (dy, dx) in enumerate(_OFFSETS):
+        neighbor = (code >> (3 * dy + dx + 4)) & 1
+        s_code |= (neighbor | (1 - center)) << p
+        m_code |= (neighbor ^ center) << p
+    return (_RIU2[s_code] * 10 + _RIU2[m_code]) * 2 + center
+
+
+_JOINT = _joint_table()
 
 
 def clbp_features(aprime: np.ndarray) -> np.ndarray:
@@ -92,44 +100,36 @@ def clbp_features(aprime: np.ndarray) -> np.ndarray:
     mapped to rotation-invariant uniform bins (10 each) and combined with the
     center bit into a flat histogram of 200 bins, indexed ``(sign_bin * 10 +
     magnitude_bin) * 2 + center_bit``.  Border pixels have no full 3x3 window
-    and are skipped.  The counts are taken over bands of rows (see
-    ``_BAND_PIXELS``), so no temporary spans the whole image.
+    and are skipped.  Only the windows that hold a set pixel are read; every
+    other window is all zero, and they are counted together by subtraction.
     """
     img = np.asarray(aprime)
     if img.ndim != 2 or min(img.shape) < 3:
         raise FeatureError("local patterns need a 2-D image of size at least 3x3")
     h, w = img.shape
-    # the two image-wide conditions, decided once for every band
-    blank = not img.any()
-    flat = blank or bool(img.all())
-    step = max(1, _BAND_PIXELS // w)
-    counts = np.zeros(CLBP_BINS, dtype=np.int64)
-    for y0 in range(1, h - 1, step):
-        y1 = min(y0 + step, h - 1)
-        counts += _clbp_counts(img[y0 - 1:y1 + 1], blank, flat)
-    hist = counts.astype(np.float64)
-    return hist / hist.sum()
-
-
-def _clbp_counts(rows: np.ndarray, blank: bool, flat: bool) -> np.ndarray:
-    # The joint-bin counts of the interior pixels of ``rows``, a band of the
-    # image with one extra row above and below; ``blank`` and ``flat`` say
-    # whether the whole image is all zero and constant.
-    bits = rows.astype(bool)
-    if not np.array_equal(bits, rows):
+    ys, xs = (i.astype(np.int32) for i in np.nonzero(img))
+    if (img[ys, xs] != 1).any():
         raise FeatureError("local patterns need a 0/1 image")
-    h, w = bits.shape
-    center = bits[1:-1, 1:-1]
-    s_code = np.zeros(center.shape, dtype=np.uint8)
-    m_code = np.zeros(center.shape, dtype=np.uint8)
-    for p, (dy, dx) in enumerate(_OFFSETS):
-        neighbor = bits[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
-        s_code |= (neighbor | ~center).view(np.uint8) << p
-        m_code |= (neighbor ^ center).view(np.uint8) << p
-    if flat:
-        m_code.fill(0xFF)
-    joint = (_RIU2[s_code] * 10 + _RIU2[m_code]) * 2 + (center | blank)
-    return np.bincount(joint.ravel(), minlength=CLBP_BINS)
+    interior = (h - 2) * (w - 2)
+    counts = np.zeros(CLBP_BINS, dtype=np.int64)
+    if ys.size in (0, img.size):
+        # every window of a constant image falls in the all-set bin
+        counts[(8 * 10 + 8) * 2 + 1] = interior
+        return counts / interior
+    for r in range(9):
+        # the interior windows that hold a set pixel at their cell r, each
+        # counted only when r is its first set cell, so exactly once
+        cy = ys - (r // 3 - 1)
+        cx = xs - (r % 3 - 1)
+        keep = (cy >= 1) & (cy < h - 1) & (cx >= 1) & (cx < w - 1)
+        cy, cx = cy[keep], cx[keep]
+        code = np.zeros(cy.size, dtype=np.int32)
+        for q in range(9):
+            code |= (img[cy + (q // 3 - 1), cx + (q % 3 - 1)] != 0).astype(np.int32) << q
+        code = code[(code & -code) == 1 << r]
+        counts += np.bincount(_JOINT[code], minlength=CLBP_BINS)
+    counts[_JOINT[0]] += interior - counts.sum()
+    return counts / interior
 
 
 def hu_moments(aprime: np.ndarray) -> np.ndarray:

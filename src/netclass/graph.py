@@ -96,11 +96,19 @@ def from_edge_list(n, edges) -> Graph:
     u, v = pairs[pairs[:, 0] != pairs[:, 1]].astype(np.int64, copy=False).T
     # both directions of every edge, row-major, duplicates dropped (np.unique
     # would do it 10x slower here, and its first call imports numpy.ma)
-    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    indices = (keys % n).astype(np.int32)
+    m = u.size
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=keys[:m])
+    keys[:m] += v
+    np.multiply(v, n, out=keys[m:])
+    keys[m:] += u
+    del u, v
+    keys.sort()
+    first = np.ones(2 * m, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    indices = np.remainder(keys, n, out=keys).astype(np.int32)
     indptr.flags.writeable = False
     indices.flags.writeable = False
     return Graph(n, indptr, indices)

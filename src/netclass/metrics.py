@@ -338,27 +338,6 @@ def _source_blocks(g: Graph, with_betweenness: bool = False):
         )
 
 
-def _shortest_paths(g: Graph, with_betweenness: bool = False):
-    """All blocks of :func:`_source_blocks` stacked into ``(dist, sigma, bet)``.
-
-    ``dist`` and ``sigma`` are n x n, row s for source s, and ``bet`` is the
-    unnormalized betweenness over unordered node pairs, endpoints excluded
-    (None unless ``with_betweenness``).  The metrics never stack the blocks;
-    the tests read the whole kernel through this.
-    """
-    require_dense_size(g)  # the stacked arrays are n x n
-    n = g.n
-    dist = np.empty((n, n), dtype=np.int32)
-    sigma = np.empty((n, n))
-    bet = np.zeros(n) if with_betweenness else None
-    for lo, d, s, dep in _source_blocks(g, with_betweenness):
-        dist[lo:lo + len(d)] = d
-        sigma[lo:lo + len(s)] = s
-        if with_betweenness:
-            bet += dep
-    return dist, sigma, (bet / 2.0 if with_betweenness else None)
-
-
 def _per_source(g: Graph, with_betweenness: bool = False):
     """Per-source distance summaries and betweenness, from the kernel's
     blocks as they come, never holding an n x n array.

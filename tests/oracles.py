@@ -3,7 +3,10 @@
 Everything here is deliberately naive and independent of the package's
 vectorized code paths: plain-Python BFS, explicit shortest-path enumeration
 via path-count products, per-pixel descriptor loops, pairwise AUC counting,
-one-draw-at-a-time graph growth.
+one-draw-at-a-time graph growth.  The exceptions read the package's own
+kernels whole, for the tests to compare: ``shortest_paths`` stacks the
+shortest-path kernel's blocks, and ``clbp_whole_image`` codes every pixel
+with the package's tables.
 """
 
 from __future__ import annotations
@@ -97,6 +100,29 @@ def sigma_matrix(g):
     return out
 
 
+def shortest_paths(g, with_betweenness=False):
+    """All blocks of ``netclass.metrics._source_blocks`` stacked into
+    ``(dist, sigma, bet)``.
+
+    ``dist`` and ``sigma`` are n x n, row s for source s, and ``bet`` is the
+    unnormalized betweenness over unordered node pairs, endpoints excluded
+    (None unless ``with_betweenness``).  The metrics never stack the blocks;
+    the tests read the whole kernel through this.
+    """
+    from netclass.metrics import _source_blocks
+
+    n = g.n
+    dist = np.empty((n, n), dtype=np.int32)
+    sigma = np.empty((n, n))
+    bet = np.zeros(n) if with_betweenness else None
+    for lo, d, s, dep in _source_blocks(g, with_betweenness):
+        dist[lo:lo + len(d)] = d
+        sigma[lo:lo + len(s)] = s
+        if with_betweenness:
+            bet += dep
+    return dist, sigma, (bet / 2.0 if with_betweenness else None)
+
+
 def dense_clustering(g):
     """Clustering from the dense triangle count ``((A @ A) * A).sum(axis=1)``."""
     from netclass import adjacency_matrix
@@ -147,8 +173,9 @@ def clbp_reference(img):
 
 def clbp_whole_image(aprime):
     """The joint local-pattern histogram computed over the whole image at
-    once, with the package's code tables: what ``clbp_features`` returned
-    before it counted in bands of rows, so the two must agree bit for bit."""
+    once, every pixel coded, with the package's code tables: ``clbp_features``
+    reads only the windows around set pixels, and the two must agree bit for
+    bit."""
     from netclass.features import _OFFSETS as offsets, _RIU2 as riu2, CLBP_BINS
 
     img = np.asarray(aprime)

