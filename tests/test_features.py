@@ -135,9 +135,25 @@ def _clbp_images():
         yield sorted_adjacency(generate(spec))
 
 
-def test_clbp_matches_whole_image():
+def _row_bands(img, rows):
+    """The image itself when ``rows`` is None, else its overlapping row bands
+    of ``rows`` window rows each (``rows + 2`` pixel rows, the last band
+    shorter), as a banded counter would cut it."""
+    if rows is None:
+        yield img
+        return
+    for top in range(0, img.shape[0] - 2, rows):
+        yield img[top:top + rows + 2]
+
+
+# the whole image, bands with one row of windows each (where set pixels sit
+# on the band's first or last row, outside every window center), and a row
+# count that divides few of the heights
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_clbp_bands_match_whole_image(rows):
     for img in _clbp_images():
-        assert clbp_features(img).tobytes() == oracles.clbp_whole_image(img).tobytes()
+        for band in _row_bands(img, rows):
+            assert clbp_features(band).tobytes() == oracles.clbp_whole_image(band).tobytes()
 
 
 def test_clbp_rejects_values_in_the_last_row_or_column():
