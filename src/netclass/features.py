@@ -14,10 +14,13 @@ are provided:
   rotation-invariant histogram of 200 bins.  A sorted matrix is sparse, so
   only the windows around its set pixels are read; the all-zero rest share
   one bin.
-* ``hu_moments``: the seven classical moment invariants, log-compressed.
+* ``hu_moments``: the seven classical moment invariants, log-compressed,
+  read from the set pixels with exactly rounded sums.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -137,38 +140,34 @@ def hu_moments(aprime: np.ndarray) -> np.ndarray:
 
     Raw moments are ``m_pq = sum x^p y^q I(x, y)`` with x the column and y
     the row index; central moments are taken about the centroid and
-    normalized as ``eta_pq = mu_pq / m00^(1 + (p+q)/2)``.  Each invariant is
-    emitted through the signed log compression
-    ``sign(phi) * log10(1 + |phi|)``: the raw invariants span many orders of
-    magnitude, which would leave a plain Euclidean distance reading only the
-    largest one.  The compression is monotone per dimension, keeps zeros at
-    zero and preserves signs, so the translation/rotation invariances and
-    the mirror sign flip of the seventh invariant carry over unchanged.
+    normalized as ``eta_pq = mu_pq / m00^(1 + (p+q)/2)``.  All are read from
+    the set pixels, each summed exactly rounded.  Each invariant is emitted
+    through the signed log compression ``sign(phi) * log10(1 + |phi|)``: the
+    raw invariants span many orders of magnitude, which would leave a plain
+    Euclidean distance reading only the largest one.  The compression is
+    monotone per dimension, keeps zeros at zero and preserves signs, so the
+    translation/rotation invariances and the mirror sign flip of the seventh
+    invariant carry over unchanged.
     """
-    img = np.asarray(aprime, dtype=np.float64)
+    img = np.asarray(aprime)
     if img.ndim != 2:
         raise FeatureError("moments need a 2-D image")
-    m00 = img.sum()
+    ys, xs = np.divmod(np.flatnonzero(img), img.shape[1])
+    w = img[ys, xs].astype(np.float64)
+    m00 = math.fsum(w)
     if m00 == 0:
         raise FeatureError("moment invariants are undefined for an all-zero image")
-    # crop to the nonzero bounding box: central moments are translation
-    # invariant in exact arithmetic, and cropping makes integer translations
-    # bit-exact no-ops instead of relying on float rounding to cooperate
-    ys, xs = np.nonzero(img)
-    img = img[ys.min():ys.max() + 1, xs.min():xs.max() + 1]
-    h, w = img.shape
-    x = np.arange(w, dtype=np.float64)
-    y = np.arange(h, dtype=np.float64)
-    xbar = (img.sum(axis=0) * x).sum() / m00
-    ybar = (img.sum(axis=1) * y).sum() / m00
-    dx = x - xbar
-    dy = y - ybar
-
-    def mu(p: int, q: int) -> float:
-        return float((dy ** q) @ img @ (dx ** p))
+    # x and y count from the first set column and row, so integer
+    # translations are bit-exact no-ops.  fsum is exactly rounded, so each
+    # moment depends only on the multiset of its terms: on a symmetric image
+    # eta_pq and eta_qp sum the same terms, and phi7 comes out exactly 0.
+    x = xs - xs.min()
+    y = ys - ys.min()
+    dx = x - math.fsum(w * x) / m00
+    dy = y - math.fsum(w * y) / m00
 
     def eta(p: int, q: int) -> float:
-        return mu(p, q) / m00 ** (1.0 + (p + q) / 2.0)
+        return math.fsum(w * (dx ** p * dy ** q)) / m00 ** (1 + (p + q) / 2)
 
     e20, e02, e11 = eta(2, 0), eta(0, 2), eta(1, 1)
     e30, e03, e21, e12 = eta(3, 0), eta(0, 3), eta(2, 1), eta(1, 2)

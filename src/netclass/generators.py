@@ -357,8 +357,10 @@ def preset_rows(name: str, base_seed: int, count_override: int | None = None):
     Mixed synthetic grids hold four classes (ER, WS, BA, GEO); BA replicates
     cycle alpha through ``BA_ALPHAS`` so the class spans linear and nonlinear
     attachment.  Scalefree grids hold five classes: BA at each alpha plus DM,
-    all at n=1000, k_bar=8.
+    all at n=1000, k_bar=8.  ``count_override``, if given, must be at least 1.
     """
+    if count_override is not None and count_override < 1:
+        raise InvalidSpecError(f"count must be at least 1, got {count_override}")
     rows: list[DatasetRow] = []
     if name in ("synthetic-desk", "synthetic-full"):
         if name == "synthetic-desk":

@@ -139,10 +139,10 @@ def degree_vector(g: Graph) -> np.ndarray:
 
 
 def read_text(path, error: type[ValueError]) -> str:
-    """A UTF-8 text file with universal newlines; other bytes raise ``error``
-    naming it."""
+    """A UTF-8 text file with universal newlines, a leading byte-order mark
+    dropped; other bytes raise ``error`` naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 

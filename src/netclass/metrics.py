@@ -13,8 +13,12 @@ receive gather from its neighbors, which is cheaper once few pairs are left to
 reach (direction-optimizing BFS, Beamer et al., SC 2012); and a level on which
 both are wide runs a dense matrix product with the adjacency matrix, read in
 bands of rows scattered from the neighbor arrays, so the kernel never builds
-an n * n array.  Every method sums in a fixed order, so results are a
-deterministic function of the graph, and betweenness reuses the forward pass.
+an n * n array.  Every method sums in a fixed order, so for a fixed BLAS
+thread count results are a deterministic function of the graph, and
+betweenness reuses the forward pass.  The dense product sums in the BLAS
+library's order, which follows its thread count: between one and two OpenBLAS
+threads, 1,085 of the 150,000 betweenness values of 200 desk graphs differ,
+by at most 4.2e-16 relative, and none on the 1e-6 ranking grid.
 
 Per-node metric vectors are turned into fixed-length feature vectors by
 histogramming over a fixed per-metric range with 500 equal-width bins, so
@@ -412,9 +416,13 @@ def betweenness(g: Graph) -> np.ndarray:
     Shortest-path counts are integers carried in float64, exact up to 2**53;
     above that they round, and one ``UserWarning`` per graph names the graph
     size and the largest count (a 30x30 grid already reaches about 3e16
-    paths).  Dependency sums are accumulated in a fixed order, so the output
-    is a deterministic function of the graph.  Disconnected graphs are fine:
-    pairs in different components simply contribute nothing.
+    paths).  Dependency sums are accumulated in a fixed order, so for a fixed
+    BLAS thread count the output is a deterministic function of the graph.
+    A level run as a dense product sums in the BLAS library's order, which
+    follows its thread count: between one and two OpenBLAS threads, 1,085 of
+    the 150,000 values of 200 desk graphs differ, by at most 4.2e-16
+    relative.  Disconnected graphs are fine: pairs in different components
+    simply contribute nothing.
     """
     return _per_source(g, with_betweenness=True)[3]
 

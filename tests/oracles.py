@@ -2,11 +2,11 @@
 
 Everything here is deliberately naive and independent of the package's
 vectorized code paths: plain-Python BFS, explicit shortest-path enumeration
-via path-count products, per-pixel descriptor loops, pairwise AUC counting,
-one-draw-at-a-time graph growth.  The exceptions read the package's own
-kernels whole, for the tests to compare: ``shortest_paths`` stacks the
-shortest-path kernel's blocks, and ``clbp_whole_image`` codes every pixel
-with the package's tables.
+via path-count products, per-pixel descriptor loops, whole-image moment
+products, pairwise AUC counting, one-draw-at-a-time graph growth.  The
+exceptions read the package's own kernels whole, for the tests to compare:
+``shortest_paths`` stacks the shortest-path kernel's blocks, and
+``clbp_whole_image`` codes every pixel with the package's tables.
 """
 
 from __future__ import annotations
@@ -195,6 +195,42 @@ def clbp_whole_image(aprime):
     joint = (riu2[s_code] * 10 + riu2[m_code]) * 2 + c_bit
     hist = np.bincount(joint.ravel(), minlength=CLBP_BINS).astype(np.float64)
     return hist / hist.sum()
+
+
+def hu_dense(aprime):
+    """The seven log-compressed moment invariants from the whole image read
+    as float64, cropped to its set bounding box, each central moment one
+    ``dy^q @ image @ dx^p`` product: ``hu_moments`` reads only the set
+    pixels with exactly rounded sums, and the two must agree to rounding."""
+    img = np.asarray(aprime, dtype=np.float64)
+    m00 = img.sum()
+    ys, xs = np.nonzero(img)
+    img = img[ys.min():ys.max() + 1, xs.min():xs.max() + 1]
+    h, w = img.shape
+    x = np.arange(w, dtype=np.float64)
+    y = np.arange(h, dtype=np.float64)
+    dx = x - (img.sum(axis=0) * x).sum() / m00
+    dy = y - (img.sum(axis=1) * y).sum() / m00
+
+    def eta(p, q):
+        return float((dy ** q) @ img @ (dx ** p)) / m00 ** (1.0 + (p + q) / 2.0)
+
+    e20, e02, e11 = eta(2, 0), eta(0, 2), eta(1, 1)
+    e30, e03, e21, e12 = eta(3, 0), eta(0, 3), eta(2, 1), eta(1, 2)
+    a = e30 + e12
+    b = e21 + e03
+    c = e30 - 3 * e12
+    d = 3 * e21 - e03
+    phi = np.array([
+        e20 + e02,
+        (e20 - e02) ** 2 + 4 * e11 ** 2,
+        c ** 2 + d ** 2,
+        a ** 2 + b ** 2,
+        c * a * (a ** 2 - 3 * b ** 2) + d * b * (3 * a ** 2 - b ** 2),
+        (e20 - e02) * (a ** 2 - b ** 2) + 4 * e11 * a * b,
+        d * a * (a ** 2 - 3 * b ** 2) - c * b * (3 * a ** 2 - b ** 2),
+    ])
+    return np.sign(phi) * np.log10(1.0 + np.abs(phi))
 
 
 def knn_oracle(train_x, train_labels, query):

@@ -77,6 +77,17 @@ def test_non_utf8_edge_list_names_the_file(tmp_path):
     assert str(graph) in err and "UTF-8" in err
 
 
+def test_gen_refuses_a_count_below_one(tmp_path):
+    # no dataset and no header-only manifest for a later features run to trip on
+    for count in (0, -3):
+        out = tmp_path / f"count{count}"
+        code, err = run("gen", "--preset", "scalefree-desk", "--count", count, "--out", out)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"count must be at least 1, got {count}" in err
+        assert not out.exists()
+
+
 def test_non_finite_feature_names_the_line(tmp_path):
     csv = tmp_path / "f.csv"
     for bad in ("nan", "inf", "-inf", "1e999"):

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -228,6 +230,63 @@ def test_hu_mirror_flips_phi7():
 def test_hu_all_zero_image_raises():
     with pytest.raises(FeatureError, match="all-zero"):
         hu_moments(np.zeros((4, 4)))
+
+
+@st.composite
+def _images(draw):
+    # small 0/1 images, or the same with positive float or uint8 weights
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    img = rng.random((h, w)) < draw(st.floats(0.05, 1.0))
+    assume(img.any())
+    weights = draw(st.sampled_from([None, "float", "uint8"]))
+    if weights == "float":
+        return img * rng.uniform(0.01, 100.0, (h, w))
+    if weights == "uint8":
+        return (img * rng.integers(1, 256, (h, w))).astype(np.uint8)
+    return img.astype(np.uint8)
+
+
+@st.composite
+def _sorted_images(draw):
+    # the sorted adjacency image of a small graph from each generator family
+    model = draw(st.sampled_from(["ER", "WS", "BA", "GEO", "DM"]))
+    alpha = draw(st.sampled_from([0.5, 1.0, 1.5])) if model == "BA" else None
+    spec = GenSpec(model, draw(st.integers(20, 150)), draw(st.sampled_from([4, 8])),
+                   alpha=alpha, seed=draw(st.integers(0, 2**32 - 1)))
+    img = sorted_adjacency(generate(spec))
+    assume(img.any())
+    return img
+
+
+@given(st.one_of(_images(), _sorted_images()))
+@settings(max_examples=150, deadline=None)
+def test_hu_matches_dense_oracle(img):
+    got, want = hu_moments(img), oracles.hu_dense(img)
+    np.testing.assert_allclose(got[:6], want[:6], rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got[6], want[6], rtol=1e-9, atol=1e-12)
+
+
+@given(_sorted_images())
+@settings(max_examples=60, deadline=None)
+def test_hu_sorted_image_phi7_exactly_zero(img):
+    # a sorted image is symmetric, and transposing it mirrors it: exact
+    # sums leave the seventh invariant at 0.0 and the transpose bit-equal
+    got = hu_moments(img)
+    assert got[6] == 0.0
+    assert np.array_equal(got, hu_moments(img.T))
+
+
+def test_hu_reads_only_the_set_pixels():
+    img = sorted_adjacency(generate(GenSpec("BA", 1000, 8, alpha=1.0, seed=42)))
+    tracemalloc.start()
+    try:
+        hu_moments(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an 8 MB float64 copy of the image is what this rules out
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,14 @@ def test_preset_row_counts():
         preset_rows("nope", 7)
 
 
+def test_preset_count_is_at_least_one():
+    assert len(preset_rows("synthetic-desk", 7, count_override=1)) == 12
+    assert len(preset_rows("scalefree-desk", 7, count_override=1)) == 5
+    for count in (0, -3):
+        with pytest.raises(InvalidSpecError, match=f"count must be at least 1, got {count}"):
+            preset_rows("scalefree-desk", 7, count_override=count)
+
+
 def test_preset_filenames_unique():
     rows = preset_rows("synthetic-desk", 7)
     names = [r.filename() for r in rows]

@@ -13,8 +13,10 @@ from netclass import (
     degree_vector,
     from_edge_list,
     read_edge_list,
+    read_feature_csv,
     write_edge_list,
 )
+from netclass.generators import read_manifest
 from netclass.graph import MAX_DENSE_SIZE
 
 
@@ -180,6 +182,22 @@ def test_edge_list_errors_name_the_line(tmp_path):
     path.write_text("# just a comment\n")
     with pytest.raises(GraphInputError, match="no edges"):
         read_edge_list(path)
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    # Excel and to_csv(encoding="utf-8-sig") start their files with one
+    texts = [
+        (read_edge_list, "# n=4\n0 1\n1 2\n", lambda g: g),
+        (read_manifest, "path,label,model,n,k_bar,alpha,beta,seed\n"
+                        "a.edges,BA,BA,30,4,1.0,0.1,7\n", lambda rows: rows),
+        (read_feature_csv, "label,f0,f1\na,1.0,2.5\nb,-3.0,4e-3\n",
+         lambda doc: (doc[0], doc[1].tolist())),
+    ]
+    for reader, text, value in texts:
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert value(reader(marked)) == value(reader(plain))
 
 
 # tokens that int() reads or refuses in ways plain digit runs do not cover

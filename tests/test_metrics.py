@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netclass
 import oracles
 from netclass import (
     DisconnectedGraphError,
@@ -282,3 +287,31 @@ def test_coefficients_bounded():
         assert ((clustering(g) >= 0) & (clustering(g) <= 1)).all()
         cl = closeness(g)
         assert ((cl >= 0) & (cl <= 1)).all()
+
+
+_BLAS_RUN = """
+import sys
+import numpy as np
+from netclass import GenSpec, betweenness, generate, node_ranking, structural_features
+g = generate(GenSpec("ER", 500, 200, seed=1))
+np.savez(sys.argv[1], bet=betweenness(g), rank=node_ranking(g), feats=structural_features(g))
+"""
+
+
+def test_blas_thread_count_moves_only_the_last_bits_of_betweenness(tmp_path):
+    # this graph runs 4 BFS levels as dense products, which OpenBLAS sums in
+    # an order that depends on its thread count; ranking and histograms round
+    # far above those bits
+    src = str(Path(netclass.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", _BLAS_RUN, str(out)], env=env, check=True,
+                       timeout=300)
+        runs.append(np.load(out))
+    one, two = runs
+    assert np.array_equal(one["rank"], two["rank"])
+    assert np.array_equal(one["feats"], two["feats"])
+    np.testing.assert_allclose(one["bet"], two["bet"], rtol=1e-12, atol=0)
