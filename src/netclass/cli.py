@@ -5,8 +5,9 @@ Stages communicate through files (edge lists + manifest, feature CSVs, JSON
 reports) so each stage is independently testable and externally computed
 features can enter at the CSV boundary.  All randomness flows from ``--seed``
 and every run with the same flags is byte-identical.  ``classify`` sets only
-the classifier, fold count and seed: ``knn`` is 1-NN, and ``svm`` trains with
-the constants ``classify.SVM_C`` and ``classify.SVM_EPOCHS``.
+the classifier and seed: ``knn`` is 1-NN, ``svm`` trains with the constants
+``classify.SVM_C`` and ``classify.SVM_EPOCHS``, and both run 10-fold
+cross-validation, with fewer folds (and a warning) when a class is smaller.
 ``NETCLASS_THREADS`` sets the worker count of ``gen`` (one task per graph
 drawn and written) and of ``features`` (one task per graph read and
 described).  On Linux the workers are forked from the CLI process, so they
@@ -45,7 +46,7 @@ from .generators import (
     write_manifest,
 )
 from .graph import degree_vector, read_edge_list, write_edge_list
-from .metrics import METRIC_ORDER, structural_features
+from .metrics import metric_selection, structural_features
 from .ordering import sorted_adjacency
 
 
@@ -67,6 +68,17 @@ def _threads() -> int:
         raise ValueError(f"NETCLASS_THREADS must be an integer, got {raw!r}") from None
 
 
+# Each extractor kind maps to its descriptor of a graph and a metric
+# selection, which only ``structural`` reads.
+EXTRACTORS = {
+    # a 1 x n matrix whose column sums are the degrees
+    "projection": lambda g, _: projection(degree_vector(g)[np.newaxis]),
+    "clbp": lambda g, _: clbp_features(sorted_adjacency(g)),
+    "hu": lambda g, _: hu_moments(sorted_adjacency(g)),
+    "structural": structural_features,
+}
+
+
 def parse_extractor(text: str):
     """Split an extractor id into (kind, metric selection).
 
@@ -75,24 +87,17 @@ def parse_extractor(text: str):
     ``structural:k`` or ``structural:pp,cl``.
     """
     kind, _, rest = text.partition(":")
-    if kind in ("projection", "clbp", "hu"):
+    if kind not in EXTRACTORS:
+        raise ValueError(f"unknown extractor {text!r}; choose one of {', '.join(EXTRACTORS)}")
+    if kind != "structural":
         if rest:
             raise ValueError(f"extractor {kind!r} takes no arguments")
         return kind, None
-    if kind == "structural":
-        which = rest or "combined"
-        if which == "combined":
-            return kind, "combined"
-        ids = tuple(w for w in which.split(",") if w)
-        bad = [w for w in ids if w not in METRIC_ORDER]
-        if bad or not ids:
-            raise ValueError(
-                f"unknown structural metrics {bad}; choose from {METRIC_ORDER}"
-            )
-        return kind, ids
-    raise ValueError(
-        f"unknown extractor {text!r}; choose projection, clbp, hu, or structural[:...]"
-    )
+    which = rest or "combined"
+    if which != "combined":
+        which = tuple(w for w in which.split(",") if w)
+    metric_selection(which)
+    return kind, which
 
 
 def _feature_row(task):
@@ -102,15 +107,7 @@ def _feature_row(task):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            if kind == "structural":
-                values = structural_features(g, which)
-            elif kind == "projection":
-                # a 1 x n matrix whose column sums are the degrees
-                values = projection(degree_vector(g)[np.newaxis])
-            elif kind == "clbp":
-                values = clbp_features(sorted_adjacency(g))
-            else:
-                values = hu_moments(sorted_adjacency(g))
+            values = EXTRACTORS[kind](g, which)
         except ValueError as exc:
             raise FeatureError(f"{path}: {exc}") from None
     for w in caught:
@@ -173,7 +170,6 @@ def cmd_classify(args) -> int:
         report = evaluate(
             LabeledDataset(feats, tuple(labels), extractor=args.extractor_id),
             classifier=args.classifier,
-            folds=args.folds,
             seed=args.seed,
         )
     except DatasetError as exc:
@@ -211,14 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract features for a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--extractor", required=True,
-                   help="projection | clbp | hu | structural[:combined|:ids]")
+                   help=" | ".join(EXTRACTORS) + "[:combined|:ids]")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("classify", help="cross-validate a feature CSV")
     p.add_argument("--features", required=True)
     p.add_argument("--classifier", required=True, choices=("knn", "svm"))
-    p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report JSON path")
     p.add_argument("--extractor-id", default="external",

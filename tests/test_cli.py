@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -30,12 +31,21 @@ def test_parse_extractor():
     assert parse_extractor("structural") == ("structural", "combined")
     assert parse_extractor("structural:combined") == ("structural", "combined")
     assert parse_extractor("structural:pp,cl") == ("structural", ("pp", "cl"))
-    with pytest.raises(ValueError):
-        parse_extractor("structural:zz")
-    with pytest.raises(ValueError):
+    # the metric ids are checked by metrics, as structural_features checks them
+    for bad, ids in (("structural:zz", "['zz']"), ("structural:k,zz", "['zz']"), ("structural:,", "[]")):
+        with pytest.raises(ValueError, match=re.escape(f"unknown metric ids {ids}")):
+            parse_extractor(bad)
+    with pytest.raises(ValueError, match="choose one of projection, clbp, hu, structural$"):
         parse_extractor("vgg19")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="takes no arguments"):
         parse_extractor("hu:8")
+
+
+def test_classify_takes_no_fold_count(capsys):
+    # classify always asks evaluate for 10 folds, which it lowers for a small class
+    with pytest.raises(SystemExit):
+        main(["classify", "--features", "f.csv", "--classifier", "knn", "--folds", "2"])
+    assert "unrecognized arguments: --folds 2" in capsys.readouterr().err
 
 
 def test_gen_writes_manifest_and_files(smoke_dataset):

@@ -35,7 +35,7 @@ def features(manifest, out):
 
 
 def classify(csv, classifier="knn"):
-    return run("classify", "--features", csv, "--classifier", classifier, "--folds", "2")
+    return run("classify", "--features", csv, "--classifier", classifier)
 
 
 def assert_named(code, err, path, text):
@@ -109,6 +109,20 @@ def test_overflowing_features_are_refused(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(csv) in err and "overflow" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_features_refuses_a_label_that_would_not_read_back(tmp_path):
+    # the manifest keeps the leading space, which the feature CSV would lose,
+    # merging " BA" into "BA"
+    (tmp_path / "g.edges").write_text("0 1\n1 2\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"{MANIFEST_HEADER}\ng.edges,BA,ER,3,2,,0.1,0\n"
+                        "g.edges, BA,ER,3,2,,0.1,0\n")
+    out = tmp_path / "f.csv"
+    code, err = features(manifest, out)
+    assert code == 1 and err.count("\n") == 1, err
+    assert err.startswith(f"error: {out}: row 2: label ' BA' would not read back"), err
+    assert not out.exists()
 
 
 def test_dataset_errors_name_the_csv(tmp_path):

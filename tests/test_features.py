@@ -1,8 +1,9 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -232,6 +233,17 @@ def test_hu_all_zero_image_raises():
         hu_moments(np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("img", [
+    [[1, -3], [0, 0]],  # complex invariants
+    [[2, -1], [-1, 0]],  # m00 = 0, though not all zero
+    [[1, 0], [0, np.nan]],  # seven NaNs
+    [[1, 0], [0, np.inf]],
+])
+def test_hu_refuses_negative_or_non_finite_pixels(img):
+    with pytest.raises(FeatureError, match="finite, non-negative pixel values"):
+        hu_moments(np.array(img))
+
+
 @st.composite
 def _images(draw):
     # small 0/1 images, or the same with positive float or uint8 weights
@@ -333,6 +345,28 @@ def test_feature_csv_round_trip(tmp_path):
     labels, back = read_feature_csv(path)
     assert labels == ["a", "b"]
     assert np.array_equal(back, feats)  # repr round-trips floats exactly
+
+
+@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", " a", "\ta"])
+def test_feature_csv_refuses_labels_that_do_not_read_back(tmp_path, label):
+    # the first three split their row, and the reader strips the leading space
+    path = tmp_path / "f.csv"
+    with pytest.raises(FeatureError, match=f"^{re.escape(f'{path}: row 2: label {label!r}')}"):
+        write_feature_csv(path, ["ok", label], np.ones((2, 1)))
+    assert not path.exists()
+
+
+@given(labels=st.lists(st.text(st.characters() | st.sampled_from(" \t\r\n,\x0c\x85\xa0\u2028"),
+                               max_size=6), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_feature_csv_accepted_labels_read_back(tmp_path, labels):
+    path = tmp_path / "f.csv"
+    try:
+        write_feature_csv(path, labels, np.ones((len(labels), 1)))
+    except FeatureError:
+        return
+    assert read_feature_csv(path)[0] == labels
 
 
 def test_external_import(tmp_path):

@@ -42,6 +42,17 @@ def test_spec_validation():
         GenSpec("DM", 100, 16)
 
 
+def test_ba_alpha_that_overflows_the_weights_is_refused():
+    # Past the limit deg ** alpha summed to inf and generate redrew forever;
+    # the spec is refused when it is built, so a regression fails, not hangs.
+    for n, alpha in ((1000, 200.0), (10, math.inf)):
+        with pytest.raises(InvalidSpecError, match=f"alpha={alpha!r} at n={n} must be below"):
+            GenSpec("BA", n, 8, alpha=alpha, seed=1)
+    with pytest.raises(InvalidSpecError, match="must be below 101.7"):
+        GenSpec("BA", 1000, 8, alpha=101.8, seed=1)
+    assert generate(GenSpec("BA", 1000, 8, alpha=101.0, seed=1)).n == 1000
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -365,4 +376,12 @@ def test_manifest_errors_name_the_line(tmp_path, field, value, message):
     lines[3] = ",".join(parts)
     mpath.write_text("\n".join(lines) + "\n")
     with pytest.raises(InvalidSpecError, match=f"^{re.escape(f'{mpath}:4: {message}')}"):
+        read_manifest(mpath)
+
+
+def test_manifest_infinite_alpha_names_the_line(tmp_path):
+    mpath = tmp_path / "manifest.csv"
+    mpath.write_text("path,label,model,n,k_bar,alpha,beta,seed\n"
+                     "a.edges,BA,BA,10,4,1.0,0.1,0\nb.edges,BA,BA,10,4,inf,0.1,0\n")
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(f'{mpath}:3: BA alpha=inf at n=10')}"):
         read_manifest(mpath)

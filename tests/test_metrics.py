@@ -230,9 +230,9 @@ def test_structural_feature_lengths():
     combined = structural_features(g)
     assert combined.shape == (6 * HIST_BINS + 1,) == (3001,)
     assert structural_features(g, ["k", "d"]).shape == (501,)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown metric ids \['nope'\]"):
         structural_features(g, ["nope"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown metric ids \[\]"):
         structural_features(g, [])
 
 
