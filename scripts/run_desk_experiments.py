@@ -10,10 +10,13 @@ run ends with the SHA-256 of each artifact group and one combined digest, so
 two runs (say, of two commits or two NETCLASS_THREADS settings) compare with
 one diff of their last lines.
 
-Expect about 2 minutes single-threaded on a 2-vCPU host with one BLAS
-thread; set NETCLASS_THREADS to spread generation and feature extraction
-over cores (about 70 seconds with 2).  Each generation and features stage
-prints its wall time.
+Each preset's missing feature CSVs come from one features run, so each graph
+is read once, and ranked once for hu and clbp together.  On a 2-vCPU host
+with one BLAS thread the run took 64 seconds with one worker and 33 seconds
+with NETCLASS_THREADS=2, which spreads generation and feature extraction
+over cores; at 2 workers the scalefree-desk features stage took 9 seconds,
+where hu and clbp run apart took 10 and 9.  Each generation and features
+stage prints its wall time.
 """
 
 import argparse
@@ -61,7 +64,8 @@ def artifact_digests(work: Path) -> dict[str, tuple[int, str]]:
 def run(args):
     work = Path(args.workdir)
     work.mkdir(parents=True, exist_ok=True)
-    datasets = {}
+    csvs = {(p, e): work / f"{p}_{e.replace(':', '-').replace(',', '+')}.csv"
+            for p, e, _ in EXPERIMENTS}
     for preset in sorted({p for p, _, _ in EXPERIMENTS}):
         out = work / preset
         if not (out / "manifest.csv").exists():
@@ -71,20 +75,20 @@ def run(args):
                     "--out", str(out)]):
                 return 1
             print(f"   {time.perf_counter() - t0:.1f}s")
-        datasets[preset] = out / "manifest.csv"
+        # one features run per preset, so each graph is read and ranked once
+        pairs = [arg for (p, extractor), csv in csvs.items() if p == preset and not csv.exists()
+                 for arg in ("--extractor", extractor, "--out", str(csv))]
+        if pairs:
+            print(f"== features: {', '.join(pairs[1::4])} over {preset}")
+            t0 = time.perf_counter()
+            if cli(["features", "--manifest", str(out / "manifest.csv"), *pairs]):
+                return 1
+            print(f"   {time.perf_counter() - t0:.0f}s")
 
     results = []
     for preset, extractor, classifier in EXPERIMENTS:
-        tag = f"{preset}_{extractor.replace(':', '-').replace(',', '+')}"
-        csv = work / f"{tag}.csv"
-        if not csv.exists():
-            print(f"== features: {extractor} over {preset}")
-            t0 = time.perf_counter()
-            if cli(["features", "--manifest", str(datasets[preset]),
-                    "--extractor", extractor, "--out", str(csv)]):
-                return 1
-            print(f"   {time.perf_counter() - t0:.0f}s")
-        report = work / f"{tag}_{classifier}.json"
+        csv = csvs[preset, extractor]
+        report = work / f"{csv.stem}_{classifier}.json"
         if cli(["classify", "--features", str(csv), "--classifier", classifier,
                 "--seed", str(args.seed), "--extractor-id", extractor,
                 "--out", str(report)]):

@@ -8,17 +8,21 @@ and every run with the same flags is byte-identical.  ``classify`` sets only
 the classifier and seed: ``knn`` is 1-NN, ``svm`` trains with the constants
 ``classify.SVM_C`` and ``classify.SVM_EPOCHS``, and both run 10-fold
 cross-validation, with fewer folds (and a warning) when a class is smaller.
-``NETCLASS_THREADS`` sets the worker count of ``gen`` (one task per graph
-drawn and written) and of ``features`` (one task per graph read and
-described).  On Linux the workers are forked from the CLI process, so they
-run the code it has loaded; elsewhere they are spawned as fresh
-interpreters.  Output bytes depend on neither the worker count nor the start
+``features`` takes ``--extractor``/``--out`` pairs, repeated for several
+descriptors of one manifest: each graph is read once and ranked at most
+once per run, whatever the number of pairs, and every CSV is written after
+all graphs are described.  ``NETCLASS_THREADS`` sets the worker count of
+``gen`` (one task per graph drawn and written) and of ``features`` (one task
+per graph read and described).  On Linux the workers are forked from the
+CLI process, so they run the code it has loaded; elsewhere they are spawned
+as fresh interpreters.  Output bytes depend on neither the worker count nor the start
 method.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -30,6 +34,7 @@ import numpy as np
 from .classify import DatasetError, LabeledDataset, evaluate
 from .features import (
     FeatureError,
+    check_labels,
     clbp_features,
     hu_moments,
     projection,
@@ -68,14 +73,15 @@ def _threads() -> int:
         raise ValueError(f"NETCLASS_THREADS must be an integer, got {raw!r}") from None
 
 
-# Each extractor kind maps to its descriptor of a graph and a metric
-# selection, which only ``structural`` reads.
+# Each extractor kind maps to its descriptor of a graph, given the graph, a
+# metric selection (which only ``structural`` reads) and a getter of the
+# graph's sorted matrix, which ranks the graph on its first call only.
 EXTRACTORS = {
     # a 1 x n matrix whose column sums are the degrees
-    "projection": lambda g, _: projection(degree_vector(g)[np.newaxis]),
-    "clbp": lambda g, _: clbp_features(sorted_adjacency(g)),
-    "hu": lambda g, _: hu_moments(sorted_adjacency(g)),
-    "structural": structural_features,
+    "projection": lambda g, _, __: projection(degree_vector(g)[np.newaxis]),
+    "clbp": lambda g, _, image: clbp_features(image()),
+    "hu": lambda g, _, image: hu_moments(image()),
+    "structural": lambda g, which, _: structural_features(g, which),
 }
 
 
@@ -100,19 +106,20 @@ def parse_extractor(text: str):
     return kind, which
 
 
-def _feature_row(task):
-    path, kind, which = task
+def _feature_rows(task):
+    path, extractors = task
     g = read_edge_list(path)
+    image = functools.cache(lambda: sorted_adjacency(g))
     # Warnings (such as inexact path counts) are re-issued naming the file.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            values = EXTRACTORS[kind](g, which)
+            rows = [EXTRACTORS[kind](g, which, image).tolist() for kind, which in extractors]
         except ValueError as exc:
             raise FeatureError(f"{path}: {exc}") from None
     for w in caught:
         warnings.warn(f"{path}: {w.message}", w.category)
-    return values.tolist()
+    return rows
 
 
 def _write_graph(task):
@@ -150,17 +157,22 @@ def cmd_render(args) -> int:
 
 
 def cmd_features(args) -> int:
-    kind, which = parse_extractor(args.extractor)
+    # refused, as a bad label is, before any graph is read
+    if not len(args.extractor) == len(args.out) == len({Path(out).resolve() for out in args.out}):
+        raise ValueError("features takes one --out per --extractor, each a different file")
+    extractors = [parse_extractor(text) for text in args.extractor]
     manifest = Path(args.manifest)
     triples = read_manifest(manifest)
     if not triples:
         raise FeatureError(f"{manifest}: empty manifest")
-    base = manifest.parent
-    tasks = [(str(base / p), kind, which) for p, _, _ in triples]
     labels = [label for _, label, _ in triples]
-    rows = _fan_out(_feature_row, tasks)
-    write_feature_csv(args.out, labels, np.array(rows, dtype=np.float64))
-    print(f"wrote {len(rows)} x {len(rows[0])} features to {args.out}")
+    for out in args.out:
+        check_labels(out, labels)
+    per_graph = _fan_out(_feature_rows,
+                         [(str(manifest.parent / p), extractors) for p, _, _ in triples])
+    for out, rows in zip(args.out, zip(*per_graph)):
+        write_feature_csv(out, labels, rows)
+        print(f"wrote {len(rows)} x {len(rows[0])} features to {out}")
     return 0
 
 
@@ -206,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="extract features for a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--extractor", required=True,
-                   help=" | ".join(EXTRACTORS) + "[:combined|:ids]")
-    p.add_argument("--out", required=True)
+    p.add_argument("--extractor", required=True, action="append",
+                   help=" | ".join(EXTRACTORS) + "[:combined|:ids]; repeat, one per --out")
+    p.add_argument("--out", required=True, action="append", help="CSV of the paired --extractor")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("classify", help="cross-validate a feature CSV")

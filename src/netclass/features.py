@@ -227,19 +227,25 @@ def render_pgm(m: np.ndarray, dilate: bool = False) -> bytes:
 # "label,f0,f1,...", one row per network.
 
 
-def write_feature_csv(path, labels, features: np.ndarray) -> None:
-    """Write one row per label.  A label that :func:`read_feature_csv` would
-    not read back unchanged, one holding a comma, CR or LF or starting with
-    whitespace, is refused before the file is opened."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] != len(labels):
-        raise FeatureError("features must be one row per label")
+def check_labels(path, labels) -> None:
+    """Refuse a label that :func:`read_feature_csv` would not read back
+    unchanged from ``path``: one holding a comma, CR or LF or starting with
+    whitespace."""
     for row, label in enumerate(map(str, labels), start=1):
         if label[:1].isspace() or any(c in label for c in ",\r\n"):
             raise FeatureError(
                 f"{path}: row {row}: label {label!r} would not read back; a label "
                 f"may not hold a comma, CR or LF, or start with whitespace"
             )
+
+
+def write_feature_csv(path, labels, features: np.ndarray) -> None:
+    """Write one row per label, refusing with :func:`check_labels` before
+    the file is opened."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] != len(labels):
+        raise FeatureError("features must be one row per label")
+    check_labels(path, labels)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("label," + ",".join(f"f{i}" for i in range(feats.shape[1])) + "\n")
         for label, row in zip(labels, feats):

@@ -103,11 +103,6 @@ class GenSpec:
             raise InvalidSpecError(f"beta must be in [0, 1], got {self.beta!r}")
 
 
-def _expect(spec: GenSpec, model: str) -> None:
-    if spec.model != model:
-        raise InvalidSpecError(f"expected a {model} spec, got {spec.model}")
-
-
 def gen_erdos_renyi(spec: GenSpec) -> Graph:
     """Uniform random graph.
 
@@ -115,7 +110,6 @@ def gen_erdos_renyi(spec: GenSpec) -> Graph:
     enumerated row-major (``(0,1), (0,2), ..., (n-2,n-1)``); the pair is an
     edge when its uniform is below ``k_bar / n``.
     """
-    _expect(spec, "ER")
     n = spec.n
     p = spec.k_bar / n
     iu, ju = np.triu_indices(n, k=1)
@@ -134,7 +128,6 @@ def gen_watts_strogatz(spec: GenSpec) -> Graph:
     integer draws in ``[0, n)`` repeated until the target is neither ``i``
     nor a current neighbor of ``i``.
     """
-    _expect(spec, "WS")
     n, half = spec.n, spec.k_bar // 2
     rng = make_rng(spec.seed)
     nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -178,7 +171,6 @@ def gen_barabasi_albert(spec: GenSpec) -> Graph:
     loop that stops at the ``c``-th distinct target consumes exactly these
     uniforms, so the stream, and the graph, are the same either way.
     """
-    _expect(spec, "BA")
     n, c, alpha = spec.n, spec.k_bar // 2, float(spec.alpha)
     rng = make_rng(spec.seed)
     core = c + 1
@@ -209,7 +201,6 @@ def geo_points(spec: GenSpec) -> np.ndarray:
 
     Draw order: a single ``(n, 2)`` uniform block (row-major, x then y).
     """
-    _expect(spec, "GEO")
     return make_rng(spec.seed).random((spec.n, 2))
 
 
@@ -272,7 +263,6 @@ def gen_geographic(spec: GenSpec) -> Graph:
     predicate on :func:`geo_points`, so it can be rechecked by brute force;
     :func:`geographic_edges` finds the pairs on a grid of cells.
     """
-    _expect(spec, "GEO")
     pts = geo_points(spec)
     return from_edge_list(spec.n, geographic_edges(pts, geo_radius(spec.n, spec.k_bar)))
 
@@ -289,7 +279,6 @@ def gen_dorogovtsev_mendes(spec: GenSpec) -> Graph:
     edge is skipped.  New edges are appended endpoint-pair by endpoint-pair
     in selection order, smaller edge index first.
     """
-    _expect(spec, "DM")
     n, m = spec.n, spec.k_bar // 4
     rng = make_rng(spec.seed)
     edges: list[tuple[int, int]] = [(0, 1), (0, 2), (1, 2)]

@@ -128,6 +128,73 @@ def test_features_parallel_matches_serial(smoke_dataset, tmp_path, capsys, monke
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+PAIRED = ("hu", "clbp", "structural:pp,cl")
+
+
+@pytest.fixture(scope="module")
+def single_runs(smoke_dataset, tmp_path_factory):
+    """Each of ``PAIRED``'s CSVs over the smoke set, from its own run at one worker."""
+    out = tmp_path_factory.mktemp("single")
+    for i, extractor in enumerate(PAIRED):
+        assert main(["features", "--manifest", str(smoke_dataset / "manifest.csv"),
+                     "--extractor", extractor, "--out", str(out / f"{i}.csv")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_paired_extractors_match_their_single_runs(smoke_dataset, single_runs, tmp_path, capsys,
+                                                   monkeypatch, threads):
+    pairs = []
+    for i, extractor in enumerate(PAIRED):
+        pairs += ["--extractor", extractor, "--out", str(tmp_path / f"{i}.csv")]
+    monkeypatch.setenv("NETCLASS_THREADS", threads)
+    code, out, err = run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
+                         *pairs)
+    assert code == 0, err
+    assert out.splitlines() == [f"wrote 24 x {width} features to {tmp_path / f'{i}.csv'}"
+                                for i, width in enumerate((7, 200, 1000))]
+    for i in range(len(PAIRED)):
+        assert (tmp_path / f"{i}.csv").read_bytes() == (single_runs / f"{i}.csv").read_bytes()
+
+
+def test_hu_and_clbp_rank_each_graph_once(smoke_dataset, tmp_path, capsys, monkeypatch):
+    from netclass import ordering
+
+    ranked = []
+
+    def counting(g, rank=ordering.node_ranking):
+        ranked.append(g)
+        return rank(g)
+
+    monkeypatch.setattr(ordering, "node_ranking", counting)
+    monkeypatch.setenv("NETCLASS_THREADS", "1")
+    code, out, err = run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
+                         "--extractor", "hu", "--out", str(tmp_path / "hu.csv"),
+                         "--extractor", "clbp", "--out", str(tmp_path / "clbp.csv"))
+    assert code == 0, err
+    assert len(out.splitlines()) == 2
+    # the list keeps every graph alive, so their ids are distinct
+    assert len({id(g) for g in ranked}) == len(ranked) == 24
+
+
+def test_a_failing_pair_writes_no_csv(smoke_dataset, tmp_path, capsys):
+    # projection refuses the 2501-node graph, which comes after two graphs
+    # that both pairs describe
+    header, *rows = (smoke_dataset / "manifest.csv").read_text().splitlines()[:5]
+    (tmp_path / "wide.edges").write_text("# n=2501\n0 1\n")
+    rows = [f"{smoke_dataset}/{row}" for row in rows]
+    rows[2:2] = ["wide.edges,ER,ER,2501,2,,0.1,0"]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join([header] + rows) + "\n")
+    outs = [tmp_path / "proj.csv", tmp_path / "hu.csv"]
+    code, _, err = run(capsys, "features", "--manifest", str(manifest),
+                       "--extractor", "projection", "--out", str(outs[0]),
+                       "--extractor", "hu", "--out", str(outs[1]))
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path / 'wide.edges'}: projection supports"), err
+    assert not any(out.exists() for out in outs)
+
+
 @pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default", "spawn"])
 def test_gen_parallel_matches_serial(tmp_path, capsys, monkeypatch, start_method):
     argv = ["gen", "--preset", "synthetic-desk", "--seed", "11", "--count", "1"]
@@ -245,6 +312,15 @@ def test_features_warning_names_the_file(tmp_path, capsys):
     [w] = caught
     assert str(w.message).startswith(f"{tmp_path / 'grid30.edges'}: shortest-path counts")
     assert "n=900" in str(w.message) and "2**53" in str(w.message)
+
+    # hu and clbp share one ranking, so its warning comes once, named too
+    with pytest.warns(UserWarning) as caught:
+        code, _, err = run(capsys, "features", "--manifest", str(manifest),
+                           "--extractor", "hu", "--out", str(tmp_path / "hu.csv"),
+                           "--extractor", "clbp", "--out", str(tmp_path / "clbp.csv"))
+    assert code == 0, err
+    assert [str(v.message) for v in caught] == [str(w.message)]
+    assert (tmp_path / "hu.csv").exists() and (tmp_path / "clbp.csv").exists()
 
 
 def test_structural_feature_widths(smoke_dataset, tmp_path, capsys):

@@ -16,6 +16,7 @@ import warnings
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from netclass import cli
 from netclass.cli import main
 from netclass.generators import MODELS
 from netclass.graph import MAX_DENSE_SIZE
@@ -123,6 +124,30 @@ def test_features_refuses_a_label_that_would_not_read_back(tmp_path):
     assert code == 1 and err.count("\n") == 1, err
     assert err.startswith(f"error: {out}: row 2: label ' BA' would not read back"), err
     assert not out.exists()
+
+
+def test_features_refuses_its_arguments_before_reading_a_graph(tmp_path, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "read_edge_list", no_read)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"{MANIFEST_HEADER}\ng.edges,BA,ER,3,2,,0.1,0\n"
+                        "g.edges, BA,ER,3,2,,0.1,0\n")
+    hu, clbp = tmp_path / "hu.csv", tmp_path / "clbp.csv"
+    code, err = run("features", "--manifest", manifest, "--extractor", "hu", "--out", hu,
+                    "--extractor", "clbp", "--out", clbp)
+    assert code == 1 and err.count("\n") == 1, err
+    assert err.startswith(f"error: {hu}: row 2: label ' BA' would not read back"), err
+
+    manifest.write_text(f"{MANIFEST_HEADER}\ng.edges,BA,ER,3,2,,0.1,0\n")
+    for outs in ((hu,), (hu, clbp, tmp_path / "more.csv"), (hu, tmp_path / "sub" / ".." / "hu.csv")):
+        pairs = [arg for out in outs for arg in ("--out", out)]
+        code, err = run("features", "--manifest", manifest,
+                        "--extractor", "hu", "--extractor", "clbp", *pairs)
+        assert code == 1 and err.count("\n") == 1, err
+        assert "features takes one --out per --extractor, each a different file" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
 
 
 def test_dataset_errors_name_the_csv(tmp_path):
