@@ -138,6 +138,79 @@ def degree_vector(g: Graph) -> np.ndarray:
     return np.diff(g.indptr)
 
 
+def _node_mixes(n: int) -> np.ndarray:
+    # SplitMix64 of the counters 1..n, wrapping uint64 arithmetic
+    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _rows(g: Graph, nodes: np.ndarray, closed: bool) -> np.ndarray:
+    """The ascending open (or closed) neighborhoods of ``nodes``, flat, node
+    after node."""
+    deg = degree_vector(g)[nodes]
+    pos = np.repeat(g.indptr[nodes] - (np.cumsum(deg) - deg), deg)
+    pos += np.arange(pos.size)
+    row = g.indices[pos].astype(np.int64)
+    if not closed:
+        return row
+    # each node joins its own row; sorting the keys owner * n + member
+    # sorts every row in place
+    owner = np.arange(nodes.size, dtype=np.int64)
+    keys = np.concatenate([np.repeat(owner, deg) * g.n + row, owner * g.n + nodes])
+    keys.sort()
+    return keys % g.n
+
+
+def twin_classes(g: Graph):
+    """Partition the nodes into twin classes.
+
+    Two nodes are open twins when they have the same neighbors, N(u) = N(v),
+    and closed twins when N[u] = N[v], with each node counted as its own
+    neighbor; no node has both an open and a closed twin.  Returns
+    ``(reps, cls, sizes)``: the ascending representatives, the smallest node
+    of each class; the class of each node, an index into ``reps``; and the
+    int64 size of each class.
+
+    Each row is hashed as the wrapping uint64 sum of fixed per-node mixes
+    (the closed hash adds the node's own mix), and nodes are grouped by
+    degree and hash.  Every member of a group is then checked entry by entry
+    against the group's first node, so a hash collision only leaves a twin
+    undetected.  Apart from the sort, the work and memory are O(n + m).
+    """
+    n = g.n
+    deg = degree_vector(g)
+    mix = _node_mixes(n)
+    run = np.zeros(g.indices.size + 1, dtype=np.uint64)
+    np.cumsum(mix[g.indices], out=run[1:])
+    open_hash = run[g.indptr[1:]] - run[g.indptr[:-1]]
+    del run
+    rep = np.arange(n)
+    for closed, h in ((False, open_hash), (True, open_hash + mix)):
+        order = np.lexsort((h, deg))
+        hs, ds = h[order], deg[order]
+        start = np.ones(n, dtype=bool)
+        start[1:] = (hs[1:] != hs[:-1]) | (ds[1:] != ds[:-1])
+        first = order[np.flatnonzero(start)[np.cumsum(start) - 1]]
+        member = first != order
+        u, f = order[member], first[member]
+        if not u.size:
+            continue
+        mismatch = _rows(g, u, closed) != _rows(g, f, closed)
+        owner = np.repeat(np.arange(u.size), deg[u] + closed)
+        same = np.bincount(owner[mismatch], minlength=u.size) == 0
+        rep[u[same]] = f[same]
+    reps = np.flatnonzero(rep == np.arange(n))
+    index = np.empty(n, dtype=np.int64)
+    index[reps] = np.arange(reps.size)
+    cls = index[rep]
+    return reps, cls, np.bincount(cls, minlength=reps.size)
+
+
 def read_text(path, error: type[ValueError]) -> str:
     """A UTF-8 text file with universal newlines, a leading byte-order mark
     dropped; other bytes raise ``error`` naming it."""

@@ -39,15 +39,30 @@ def node_ranking(g: Graph) -> np.ndarray:
     """
     deg = degree_vector(g)
     qbet = np.round(betweenness(g), BETWEENNESS_DECIMALS)
-    tie_keys = [
-        tuple(sorted((-int(deg[j]), -float(qbet[j])) for j in g.neighbors(i).tolist()))
-        for i in range(g.n)
-    ]
-    order = sorted(
-        range(g.n),
-        key=lambda i: (-int(deg[i]), -float(qbet[i]), tie_keys[i], i),
-    )
-    return np.array(order, dtype=np.int64)
+    # a dense code per node that orders like its (-degree, -qbet) pair
+    by_pair = np.lexsort((-qbet, -deg))
+    dp, qp = deg[by_pair], qbet[by_pair]
+    code = _dense_ranks(by_pair, (dp[1:] != dp[:-1]) | (qp[1:] != qp[:-1]))
+    # Tie-keys are compared only between nodes of equal degree, whose keys
+    # have equal length, so per degree the ascending rows of neighbor codes,
+    # ranked row by row, order as the tuples of pairs would.
+    tie_rank = np.zeros(g.n, dtype=np.int64)
+    for d in (np.flatnonzero(np.bincount(deg)[1:]) + 1).tolist():
+        nodes = np.flatnonzero(deg == d)
+        rows = np.sort(code[g.indices[g.indptr[nodes, None] + np.arange(d)]], axis=1)
+        by_row = np.lexsort(rows.T[::-1])
+        rows = rows[by_row]
+        tie_rank[nodes] = _dense_ranks(by_row, (rows[1:] != rows[:-1]).any(axis=1))
+    return np.lexsort((np.arange(g.n), tie_rank, -qbet, -deg))
+
+
+def _dense_ranks(order, changed):
+    """Dense rank of each item, given the sorting permutation ``order`` and
+    whether each item in sorted order differs from the one before it."""
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order[:1]] = 0
+    ranks[order[1:]] = np.cumsum(changed)
+    return ranks
 
 
 def sorted_adjacency(g: Graph) -> np.ndarray:

@@ -5,8 +5,9 @@ vectorized code paths: plain-Python BFS, explicit shortest-path enumeration
 via path-count products, per-pixel descriptor loops, whole-image moment
 products, pairwise AUC counting, one-draw-at-a-time graph growth.  The
 exceptions read the package's own kernels whole, for the tests to compare:
-``shortest_paths`` stacks the shortest-path kernel's blocks, and
-``clbp_whole_image`` codes every pixel with the package's tables.
+``shortest_paths`` stacks the shortest-path kernel's blocks,
+``clbp_whole_image`` codes every pixel with the package's tables, and
+``node_ranking_by_tuples`` sorts on the package's betweenness.
 """
 
 from __future__ import annotations
@@ -87,6 +88,31 @@ def brute_betweenness(g):
                 ):
                     dep[v] += sigmas[s][v] * sigmas[t][v] / sigmas[s][t]
     return dep
+
+
+def twin_classes(g):
+    """``netclass.graph.twin_classes`` from dicts keyed by each node's open
+    and closed neighbor sets.
+
+    Asserts that no node has both an open and a closed twin, the fact that
+    makes the two kinds of class one partition.
+    """
+    n = g.n
+    groups = {}
+    for v, nbrs in enumerate(adjacency_lists(g)):
+        groups.setdefault(("open", frozenset(nbrs)), []).append(v)
+        groups.setdefault(("closed", frozenset(nbrs) | {v}), []).append(v)
+    rep = list(range(n))
+    twinned = set()
+    for members in groups.values():
+        if len(members) > 1:
+            assert twinned.isdisjoint(members), "a node has twins of both kinds"
+            twinned.update(members)
+            for v in members:
+                rep[v] = members[0]
+    reps = sorted(set(rep))
+    cls = [reps.index(r) for r in rep]
+    return np.array(reps), np.array(cls), np.bincount(cls, minlength=len(reps))
 
 
 def sigma_matrix(g):
@@ -368,3 +394,24 @@ def read_edge_list_by_line(path):
         bad = next(ln for (u, v), ln in zip(edges, linenos) if max(u, v) >= n)
         raise GraphInputError(f"{path}:{bad}: node index exceeds declared n={n}")
     return from_edge_list(n, edges)
+
+
+def node_ranking_by_tuples(g):
+    """``netclass.node_ranking`` from its definition: Python sorts on
+    (-degree, -quantized betweenness, tie-key tuple, index), with each tie-key
+    the ascending tuple of the neighbors' (-degree, -quantized betweenness)
+    pairs."""
+    from netclass import betweenness, degree_vector
+    from netclass.ordering import BETWEENNESS_DECIMALS
+
+    deg = degree_vector(g)
+    qbet = np.round(betweenness(g), BETWEENNESS_DECIMALS)
+    tie_keys = [
+        tuple(sorted((-int(deg[j]), -float(qbet[j])) for j in g.neighbors(i).tolist()))
+        for i in range(g.n)
+    ]
+    order = sorted(
+        range(g.n),
+        key=lambda i: (-int(deg[i]), -float(qbet[i]), tie_keys[i], i),
+    )
+    return np.array(order, dtype=np.int64)

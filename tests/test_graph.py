@@ -17,7 +17,8 @@ from netclass import (
     write_edge_list,
 )
 from netclass.generators import read_manifest
-from netclass.graph import MAX_DENSE_SIZE
+from netclass import graph as graph_module
+from netclass.graph import MAX_DENSE_SIZE, twin_classes
 
 
 def p3():
@@ -233,3 +234,90 @@ def test_edge_list_parser_matches_line_by_line_reference(tmp_path, lines, newlin
         assert str(got.value) == str(exc)
     else:
         assert read_edge_list(path) == want
+
+
+# ---------------------------------------------------------------------------
+# twin classes
+# ---------------------------------------------------------------------------
+
+
+def _assert_twins_match_oracle(g):
+    reps, cls, sizes = twin_classes(g)
+    want = oracles.twin_classes(g)
+    for got, expected in zip((reps, cls, sizes), want):
+        assert got.dtype == np.int64
+        assert got.tolist() == expected.tolist()
+
+
+@given(edge_lists())
+@settings(max_examples=120)
+def test_twin_classes_match_oracle(ne):
+    # sparse draws leave isolated nodes, which are open twins of each other
+    _assert_twins_match_oracle(from_edge_list(*ne))
+
+
+@st.composite
+def twin_heavy_graphs(draw):
+    # a small base graph, then copies of its nodes: an open copy takes the
+    # original's neighbors, a closed copy those and the original itself
+    n, edges = draw(edge_lists())
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    for _ in range(draw(st.integers(1, 8))):
+        v = draw(st.integers(0, len(adj) - 1))
+        new = set(adj[v]) | ({v} if draw(st.booleans()) else set())
+        for u in new:
+            adj[u].add(len(adj))
+        adj.append(new)
+    perm = draw(st.permutations(range(len(adj))))
+    return from_edge_list(len(adj), [(perm[u], perm[v]) for u in range(len(adj)) for v in adj[u]])
+
+
+@given(twin_heavy_graphs())
+@settings(max_examples=150)
+def test_twin_classes_match_oracle_on_copied_nodes(g):
+    _assert_twins_match_oracle(g)
+
+
+def _complete(n):
+    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_twin_classes_of_named_graphs():
+    assert [a.tolist() for a in twin_classes(from_edge_list(1, []))] == [[0], [0], [1]]
+    # K2 and K5: every node a closed twin of every other
+    for n in (2, 5):
+        assert [a.tolist() for a in twin_classes(_complete(n))] == [[0], [0] * n, [n]]
+    # star: the leaves are open twins; the center has no twin
+    assert [a.tolist() for a in twin_classes(star5())] == [[0, 1], [0, 1, 1, 1, 1], [1, 4]]
+    # K_{3,4}: each side is one open class
+    k34 = from_edge_list(7, [(i, j) for i in range(3) for j in range(3, 7)])
+    assert [a.tolist() for a in twin_classes(k34)] == [[0, 3], [0, 0, 0, 1, 1, 1, 1], [3, 4]]
+    # three isolated nodes beside a path: the isolated nodes are open twins,
+    # and so are the ends of P3
+    g = from_edge_list(6, [(0, 1), (1, 2)])
+    assert [a.tolist() for a in twin_classes(g)] == [[0, 1, 3], [0, 1, 0, 2, 2, 2], [2, 1, 3]]
+    for g in (from_edge_list(1, []), _complete(2), _complete(5), star5(), k34, g, p3()):
+        _assert_twins_match_oracle(g)
+
+
+def test_twin_hash_collisions_only_split_classes(monkeypatch):
+    # With every node mixed to 0, all rows of a degree share one hash; the
+    # exact row check must still keep every non-twin apart.
+    monkeypatch.setattr(graph_module, "_node_mixes", lambda n: np.zeros(n, dtype=np.uint64))
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        g = oracles.random_graph(rng, int(rng.integers(1, 25)), 0.3)
+        reps, cls, sizes = twin_classes(g)
+        want_cls = oracles.twin_classes(g)[1]
+        # each node's representative is a true twin of it, and the smallest
+        # node of its class
+        assert np.array_equal(want_cls[reps[cls]], want_cls)
+        assert (reps[cls] <= np.arange(g.n)).all()
+        assert np.array_equal(np.bincount(cls, minlength=reps.size), sizes)
+    # where each degree's first node is a twin of the rest, nothing is lost
+    for g in (star5(), _complete(4), from_edge_list(7, [(i, j) for i in range(3) for j in range(3, 7)])):
+        _assert_twins_match_oracle(g)

@@ -8,7 +8,9 @@ from netclass import (
     betweenness,
     degree_vector,
     from_edge_list,
+    generate,
     node_ranking,
+    preset_rows,
     sorted_adjacency,
 )
 
@@ -109,3 +111,24 @@ def test_sorted_matrix_row_sum_property(seed):
     g = oracles.random_graph(rng, int(rng.integers(1, 16)), float(rng.uniform(0, 1)))
     rows = sorted_adjacency(g).sum(axis=1).astype(int)
     assert (np.diff(rows) <= 0).all()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_ranking_matches_tuple_definition(seed):
+    # small dense and sparse draws tie often on degree and betweenness
+    rng = np.random.default_rng(seed)
+    g = oracles.random_graph(rng, int(rng.integers(1, 30)), float(rng.uniform(0.05, 0.9)))
+    perm = node_ranking(g)
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, oracles.node_ranking_by_tuples(g))
+
+
+def test_ranking_matches_tuple_definition_on_desk_cells():
+    # one graph of every scalefree-desk cell and of every synthetic-desk
+    # model at k=4: BA alpha=2 and GEO leave large tied cells
+    rows = preset_rows("scalefree-desk", 11, count_override=1)
+    rows += [r for r in preset_rows("synthetic-desk", 11, count_override=1) if r.spec.k_bar == 4]
+    for row in rows:
+        g = generate(row.spec)
+        assert np.array_equal(node_ranking(g), oracles.node_ranking_by_tuples(g)), row.spec

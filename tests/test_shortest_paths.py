@@ -9,9 +9,12 @@ replacing the choice function ``metrics._method``, force block sizes by
 replacing ``metrics._BLOCK_PAIRS`` and the product's bands of adjacency rows
 by replacing ``metrics._BAND_PAIRS``; they check every method, block size and
 band size and the default mix against the brute-force oracles, against
-networkx and against each other.
+networkx and against each other.  The metrics run the kernel from one source
+per twin class; the last tests check them on twin-heavy graphs against the
+kernel run from every source, the oracles and networkx.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -35,7 +38,7 @@ from netclass import (
 from netclass import graph as graph_module
 from netclass import metrics
 from netclass.generators import preset_rows
-from netclass.graph import MAX_DENSE_SIZE, GraphInputError, adjacency_matrix
+from netclass.graph import MAX_DENSE_SIZE, GraphInputError, adjacency_matrix, twin_classes
 
 # test id -> the method forced on every level ("sparse" is the top-down push)
 FORCED = {"sparse": "push", "pull": "pull", "dense": "dense"}
@@ -248,8 +251,13 @@ def test_large_graph_matches_networkx(large):
     assert np.array_equal(dist, expected)
 
     want = nx.betweenness_centrality(ref, normalized=False)
-    assert np.allclose(bet, [want[v] for v in range(g.n)], rtol=1e-12, atol=1e-9)
-    assert np.array_equal(betweenness(g), bet)
+    want = [want[v] for v in range(g.n)]
+    assert np.allclose(bet, want, rtol=1e-12, atol=1e-9)
+    # betweenness runs one source per twin class, which sums the dependencies
+    # in another order when there are twins, and in the same one otherwise
+    assert np.allclose(betweenness(g), want, rtol=1e-12, atol=1e-9)
+    if twin_classes(g)[0].size == g.n:
+        assert np.array_equal(betweenness(g), bet)
 
     want = nx.closeness_centrality(ref, wf_improved=False)
     assert np.allclose(closeness(g), [want[v] for v in range(g.n)], rtol=1e-12, atol=0)
@@ -341,3 +349,131 @@ def test_dense_level_peak_memory():
     # whole float adjacency alone would be 32 MB.
     g = generate(GenSpec("ER", 2000, 100, seed=1))
     assert _peak(betweenness, g) <= 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# one source per twin class
+# ---------------------------------------------------------------------------
+
+
+def _complete_bipartite(a, b):
+    return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def _copies(g, kinds):
+    # g with a twin added for each node of ``kinds``, a {node: kind} map of
+    # pairwise non-adjacent nodes: an "open" twin takes the node's neighbors,
+    # a "closed" one those and the node itself
+    edges = list(g.edges())
+    for new, (v, kind) in enumerate(kinds.items(), start=g.n):
+        edges += [(u, new) for u in g.neighbors(v).tolist()]
+        if kind == "closed":
+            edges.append((v, new))
+    return from_edge_list(g.n + len(kinds), edges)
+
+
+def _checkerboard(side, rows):
+    # the nodes (r, c) of a side x side grid with r < rows and r + c even,
+    # which are pairwise non-adjacent, alternately open and closed
+    nodes = [r * side + c for r in range(rows) for c in range(side) if (r + c) % 2 == 0]
+    return {v: ("open", "closed")[i % 2] for i, v in enumerate(nodes)}
+
+
+SMALL_TWIN_GRAPHS = {
+    "k1": lambda: from_edge_list(1, []),
+    "k2": lambda: from_edge_list(2, [(0, 1)]),
+    "k6": lambda: from_edge_list(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+    "k3,5": lambda: _complete_bipartite(3, 5),
+    "star": lambda: _complete_bipartite(1, 7),
+    "copied": lambda: _copies(oracles.grid_graph(3), _checkerboard(3, 3)),
+    "isolated": lambda: from_edge_list(9, [(0, 1), (1, 2), (2, 3), (4, 5)]),
+}
+
+TWIN_GRAPHS = {
+    "ba1000-a2": _scalefree(3),
+    # seed 5: a pull rounds the betweenness of one pair of closed twins apart
+    "geo500": lambda: generate(GenSpec("GEO", 500, 4, seed=5)),
+    "disconnected": _disconnected,
+}
+
+
+def _summaries(dist):
+    # reach, farness and eccentricity of every source from stacked distances
+    reached = dist >= 0
+    return reached.sum(axis=1) - 1, np.where(reached, dist, 0).sum(axis=1), dist.max(axis=1)
+
+
+def _assert_twin_sources_exact(g, dist):
+    reach, far, ecc, _ = metrics._per_source(g)
+    want = _summaries(dist)
+    for got, expected in zip((reach, far, ecc), want):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_TWIN_GRAPHS))
+def test_twin_sources_match_brute_force(name):
+    g = SMALL_TWIN_GRAPHS[name]()
+    assert twin_classes(g)[0].size < g.n or g.n == 1
+    assert np.allclose(betweenness(g), oracles.brute_betweenness(g), rtol=0, atol=1e-9)
+    _assert_twin_sources_exact(g, oracles.bfs_distances(g))
+
+
+@pytest.fixture(scope="module", params=sorted(TWIN_GRAPHS))
+def twin_heavy(request):
+    g = TWIN_GRAPHS[request.param]()
+    return g, oracles.shortest_paths(g, with_betweenness=True)
+
+
+def test_twin_sources_match_every_source(twin_heavy):
+    g, (dist, _, bet) = twin_heavy
+    reps, cls, _ = twin_classes(g)
+    assert reps.size < g.n
+    got = betweenness(g)
+    # one source per class sums the dependencies in another order
+    assert np.allclose(got, bet, rtol=1e-12, atol=1e-9)
+    _assert_twin_sources_exact(g, dist)
+    # twins get the same bits, their representative's
+    assert np.array_equal(got, got[reps][cls])
+
+
+def test_twin_sources_match_networkx(twin_heavy):
+    nx = pytest.importorskip("networkx")
+    g = twin_heavy[0]
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    want = nx.betweenness_centrality(ref, normalized=False)
+    assert np.allclose(betweenness(g), [want[v] for v in range(g.n)], rtol=1e-12, atol=1e-9)
+    want = nx.closeness_centrality(ref, wf_improved=False)
+    assert np.allclose(closeness(g), [want[v] for v in range(g.n)], rtol=1e-12, atol=0)
+
+
+def test_one_source_per_twin_class(monkeypatch):
+    g = _scalefree(3)()  # BA alpha = 2: about 700 of 1000 nodes are twins
+    reps, cls, sizes = twin_classes(g)
+    assert reps.size < 0.4 * g.n
+    calls = []
+    kernel = metrics._source_blocks
+
+    def recording(graph, with_betweenness=False, sources=None, mult=None):
+        calls.append((sources, mult))
+        return kernel(graph, with_betweenness, sources, mult)
+
+    monkeypatch.setattr(metrics, "_source_blocks", recording)
+    betweenness(g)
+    [(sources, mult)] = calls
+    assert np.array_equal(cls[sources], np.arange(reps.size))
+    assert np.array_equal(mult, sizes)
+
+
+def test_path_counts_past_2_53_warn_once_with_twins():
+    # the 30 x 30 grid of test_path_counts_past_2_53_warn, with a twin of 30
+    # of its nodes, half of them open and half closed
+    g = _copies(oracles.grid_graph(30), _checkerboard(30, 2))
+    assert twin_classes(g)[0].size == 900
+    # the representatives' path counts peak where every node's do
+    peak = oracles.shortest_paths(g)[1].max()
+    with pytest.warns(UserWarning, match=rf"reach {re.escape(f'{peak:.3g}')} .*n=930.*2\*\*53") as caught:
+        betweenness(g)
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
