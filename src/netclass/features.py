@@ -240,12 +240,20 @@ def check_labels(path, labels) -> None:
 
 
 def write_feature_csv(path, labels, features: np.ndarray) -> None:
-    """Write one row per label, refusing with :func:`check_labels` before
-    the file is opened."""
+    """Write one row per label, refusing with :func:`check_labels`, and
+    refusing a non-finite value, which :func:`read_feature_csv` would not
+    read back, before the file is opened."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != len(labels):
         raise FeatureError("features must be one row per label")
     check_labels(path, labels)
+    bad = np.argwhere(~np.isfinite(feats))
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise FeatureError(
+            f"{path}: row {row + 1}: column f{col}: value {float(feats[row, col])!r} would not "
+            f"read back; feature values must be finite"
+        )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("label," + ",".join(f"f{i}" for i in range(feats.shape[1])) + "\n")
         for label, row in zip(labels, feats):

@@ -149,13 +149,19 @@ def _node_mixes(n: int) -> np.ndarray:
     return x
 
 
+def gather_neighbors(g: Graph, nodes: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """The ascending neighbors of ``nodes``, flat, node after node; ``deg``
+    is the degree of each node."""
+    pos = np.repeat(g.indptr[nodes] - (np.cumsum(deg) - deg), deg)
+    pos += np.arange(pos.size)
+    return g.indices[pos]
+
+
 def _rows(g: Graph, nodes: np.ndarray, closed: bool) -> np.ndarray:
     """The ascending open (or closed) neighborhoods of ``nodes``, flat, node
     after node."""
     deg = degree_vector(g)[nodes]
-    pos = np.repeat(g.indptr[nodes] - (np.cumsum(deg) - deg), deg)
-    pos += np.arange(pos.size)
-    row = g.indices[pos].astype(np.int64)
+    row = gather_neighbors(g, nodes, deg).astype(np.int64)
     if not closed:
         return row
     # each node joins its own row; sorting the keys owner * n + member

@@ -11,19 +11,18 @@ et al. 2012): no shortest path from a node passes through its twin, so the
 two are at the same distance from every other node and have the same
 dependencies, and the representative's dependencies count once per member
 of its class.  Each BFS level, in the forward pass and in the betweenness
-backward pass, moves one of three ways, picked from its edge work.  Push
-scatters the level's (source, node) pairs onto their neighbors over the
-graph's neighbor arrays; pull has each pair that can still receive gather
-from its neighbors, which is cheaper once few pairs are left to reach
-(direction-optimizing BFS, Beamer et al., SC 2012); and a level on which both
-are wide runs a dense matrix product with the adjacency matrix, read in bands
-of rows scattered from the neighbor arrays, so the kernel never builds an
-n * n array.  Every method sums in a fixed order, so for a fixed BLAS
-thread count results are a deterministic function of the graph, and
-betweenness reuses the forward pass.  The dense product sums in the BLAS
-library's order, which follows its thread count: between one and two OpenBLAS
-threads, 1,100 of the 150,000 betweenness values of 200 desk graphs differ,
-by at most 4.2e-16 relative, and none on the 1e-6 ranking grid.
+backward pass, pushes or pulls, whichever has less edge work.  Push scatters
+the level's (source, node) pairs onto their neighbors over the graph's
+neighbor arrays; pull has each pair that can still receive gather from its
+neighbors, which is cheaper once few pairs are left to reach
+(direction-optimizing BFS, Beamer et al., SC 2012).  A forward level on which
+both are wide runs a dense matrix product with the adjacency matrix instead,
+read in bands of rows scattered from the neighbor arrays, so the kernel never
+builds an n * n array.  Push and pull sum in a fixed order, and the product
+sums integer path counts, exact in any order below 2**53 (past which the
+kernel warns), so the results are a function of the graph alone: they depend
+neither on ``NETCLASS_THREADS`` nor on the BLAS thread count
+(``OPENBLAS_NUM_THREADS``).  Betweenness reuses the forward pass.
 
 Per-node metric vectors are turned into fixed-length feature vectors by
 histogramming over a fixed per-metric range with 500 equal-width bins, so
@@ -36,7 +35,7 @@ import warnings
 
 import numpy as np
 
-from .graph import Graph, degree_vector, require_dense_size, twin_classes
+from .graph import Graph, degree_vector, gather_neighbors, require_dense_size, twin_classes
 
 
 class DisconnectedGraphError(ValueError):
@@ -71,21 +70,24 @@ _DIAMETER_SCALE = 100.0
 # Largest integer float64 holds exactly; shortest-path counts above it round.
 _EXACT_COUNT_LIMIT = 2.0**53
 
-# Each BFS level moves one of three ways.  Push scatters the level's pairs onto
-# their nodes' neighbors; its edge work is the summed degree of those nodes.
-# Pull has each pair that can receive gather from its node's neighbors; its
-# edge work is the summed degree of the receiving pairs' nodes.  The cheaper
-# of the two runs, unless even that reaches 1 / _SPARSE_RATIO of the b * n * n
-# multiply-adds of a block of b sources: then the level runs one dense b x n by
-# n x n product.  Break-even, measured with one OpenBLAS thread on a 2-vCPU
+# Each BFS level pushes or pulls.  Push scatters the level's pairs onto their
+# nodes' neighbors; its edge work is the summed degree of those nodes.  Pull
+# has each pair that can receive gather from its node's neighbors; its edge
+# work is the summed degree of the receiving pairs' nodes.  The cheaper of the
+# two runs, except on a forward level where even that reaches 1 / _SPARSE_RATIO
+# of the b * n * n multiply-adds of a block of b sources: that level runs one
+# dense b x n by n x n product.  The product is forward-only because there it
+# sums integer path counts, exact in any order below 2**53; the backward pass
+# sums fractional dependencies, which BLAS would sum in an order that follows
+# its thread count.  Break-even, measured with one OpenBLAS thread on a 2-vCPU
 # host: one pair-edge costs about as much as 500 multiply-adds of the product.
 # Kernel time over the benchmark's deep (WS/GEO n=500) and scale-free (BA/DM
 # n=1000) graphs of two seeds, in four alternating runs, was flat within about
 # 5% from 350 to 500; at 700 the deep graphs ran 10-15% slower, and at 1000
-# the scale-free graphs ran about 10% and the deep ones about 20% slower.  The
-# product still earns its place on levels where both directions are wide:
-# without it the scale-free graphs ran 3-10% slower, and betweenness on ER
-# n=500 k=200 ran 18x slower.
+# the scale-free graphs ran about 10% and the deep ones about 20% slower (with
+# the product on both passes).  The forward product earns its place: without
+# it, ranking the 80 scale-free benchmark graphs of seeds 1601-1608 took
+# 13.6-16.4 s against 10.6-12.8 s (four alternating runs, medians +24%).
 _SPARSE_RATIO = 500
 
 # The kernel runs blocks of b = max(1, _BLOCK_PAIRS // n) sources, so its
@@ -114,12 +116,15 @@ _BLOCK_PAIRS = 1 << 17
 _BAND_PAIRS = 1 << 19
 
 
-def _method(push_work, pull_work, product_work):
-    """How one BFS level moves, given its push and pull edge work and the
-    multiply-adds of the dense product."""
-    if min(push_work, pull_work) >= product_work / _SPARSE_RATIO:
-        return "dense"
+def _direction(push_work, pull_work):
+    """Whether one BFS level pushes or pulls, given the edge work of each."""
     return "push" if push_work <= pull_work else "pull"
+
+
+def _dense(push_work, pull_work, product_work):
+    """Whether a forward BFS level runs the dense product instead, given its
+    push and pull edge work and the product's multiply-adds."""
+    return min(push_work, pull_work) >= product_work / _SPARSE_RATIO
 
 
 def _runs(k, size):
@@ -130,7 +135,8 @@ def _runs(k, size):
     ends = np.cumsum(k)
     total = ends[-1] if ends.size else 0
     cuts = [0, *np.searchsorted(ends, np.arange(step, total, step)), k.size]
-    return zip(cuts[:-1], cuts[1:])
+    # a pair whose degree reaches ``step`` would leave an empty run before it
+    return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
 
 
 def _neighbor_pairs(pairs, k, g):
@@ -139,12 +145,8 @@ def _neighbor_pairs(pairs, k, g):
     ``k`` is the degree of each pair's node; the neighbors come pair by pair,
     in CSR order.
     """
-    n = g.n
-    v = pairs % n
-    pos = np.repeat(g.indptr[v] - (np.cumsum(k) - k), k)
-    pos += np.arange(pos.size)
-    nbrs = g.indices[pos]
-    del pos
+    v = pairs % g.n
+    nbrs = gather_neighbors(g, v, k)
     out = np.repeat(pairs - v, k)
     out += nbrs
     return out
@@ -213,8 +215,9 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
 
     Both passes move one level at a time over the block's (source, node)
     pairs at that distance, held as flat indices ``i * n + v`` with ``i``
-    local to the block, and each level picks push, pull or the dense product
-    by its edge work (see ``_SPARSE_RATIO``).  The forward pass keeps each
+    local to the block, and each level pushes or pulls by its edge work
+    (:func:`_direction`); a forward level may run the dense product instead
+    (:func:`_dense`, see ``_SPARSE_RATIO``).  The forward pass keeps each
     level's pairs for the backward pass.  The product reads the adjacency in
     bands of rows (see ``_BAND_PAIRS``), so no n x n array is built.  ``g``
     is still held to the dense size cap, which bounds the run time: each
@@ -289,7 +292,10 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
         unreached = b * total - work[0]
         depth = 0
         while True:
-            how = _method(work[depth], unreached, product_work)
+            if _dense(work[depth], unreached, product_work):
+                how = "dense"
+            else:
+                how = _direction(work[depth], unreached)
             if how == "pull":
                 # An unreached pair's neighbors lie at this depth or deeper,
                 # and deeper pairs still have sigma 0, so sigma is gathered
@@ -322,17 +328,15 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
             # Dependencies are written one level at a time, deepest first: a
             # pair's entry is final once the level above it has been spread
             # back onto it.  Spreading level L onto L - 1 pushes from L or
-            # pulls into L - 1.  The sources' own dependencies (level 0) are
-            # never needed.
+            # pulls into L - 1, never through the product (see _SPARSE_RATIO).
+            # The sources' own dependencies (level 0) are never needed.
             delta = np.zeros(size)
             for lev in range(depth, 1, -1):
                 level = levels[lev]
                 weights = (1.0 + delta[level]) * (1.0 / sigma[level])
-                how = _method(work[lev], work[lev - 1], product_work)
+                how = _direction(work[lev], work[lev - 1])
                 if how == "push":
                     out = buf = _push(level, weights, deg[level % n], g, size)
-                elif how == "dense":
-                    out = buf = product(level, weights)
                 else:
                     buf = spent(level, weights)
                 # Freed before the pull allocates its gather, so the two are
@@ -444,13 +448,10 @@ def betweenness(g: Graph) -> np.ndarray:
     Shortest-path counts are integers carried in float64, exact up to 2**53;
     above that they round, and one ``UserWarning`` per graph names the graph
     size and the largest count (a 30x30 grid already reaches about 3e16
-    paths).  Dependency sums are accumulated in a fixed order, so for a fixed
-    BLAS thread count the output is a deterministic function of the graph.
-    A level run as a dense product sums in the BLAS library's order, which
-    follows its thread count: between one and two OpenBLAS threads, 1,100 of
-    the 150,000 values of 200 desk graphs differ, by at most 4.2e-16
-    relative.  Disconnected graphs are fine: pairs in different components
-    simply contribute nothing.
+    paths).  Dependency sums are accumulated in a fixed order, never by the
+    BLAS library, so below that warning the output is a function of the graph
+    alone, whatever the BLAS thread count.  Disconnected graphs are fine:
+    pairs in different components simply contribute nothing.
 
     The backward pass runs from one source per twin class and multiplies its
     dependencies by the class size (see :func:`_source_blocks`), and each

@@ -356,6 +356,19 @@ def test_feature_csv_refuses_labels_that_do_not_read_back(tmp_path, label):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_feature_csv_refuses_values_that_do_not_read_back(tmp_path, value):
+    # the reader refuses a non-finite value, so the writer does not write one
+    path = tmp_path / "f.csv"
+    feats = np.ones((3, 4))
+    feats[1, 2] = value
+    feats[2, 0] = value  # the first one in row order is named
+    named = re.escape(f"{path}: row 2: column f2: value {value!r}")
+    with pytest.raises(FeatureError, match=f"^{named}"):
+        write_feature_csv(path, ["a", "b", "c"], feats)
+    assert not path.exists()
+
+
 @given(labels=st.lists(st.text(st.characters() | st.sampled_from(" \t\r\n,\x0c\x85\xa0\u2028"),
                                max_size=6), min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None,

@@ -2,12 +2,13 @@
 and of the local metrics on the same graphs.
 
 The kernel runs blocks of sources, and each BFS level of a block pushes its
-(source, node) pairs onto their neighbors, pulls into the pairs that can
-receive from their neighbors, or runs a dense matrix product, chosen by the
-edge work of push and pull.  The tests force each method on every level by
-replacing the choice function ``metrics._method``, force block sizes by
-replacing ``metrics._BLOCK_PAIRS`` and the product's bands of adjacency rows
-by replacing ``metrics._BAND_PAIRS``; they check every method, block size and
+(source, node) pairs onto their neighbors or pulls into the pairs that can
+receive from their neighbors, chosen by the edge work of each; a forward level
+on which both are wide runs a dense matrix product instead.  The tests force
+each method by replacing the choice functions ``metrics._direction`` (both
+passes) and ``metrics._dense`` (forward only), force block sizes by replacing
+``metrics._BLOCK_PAIRS`` and the product's bands of adjacency rows by
+replacing ``metrics._BAND_PAIRS``; they check every method, block size and
 band size and the default mix against the brute-force oracles, against
 networkx and against each other.  The metrics run the kernel from one source
 per twin class; the last tests check them on twin-heavy graphs against the
@@ -40,12 +41,16 @@ from netclass import metrics
 from netclass.generators import preset_rows
 from netclass.graph import MAX_DENSE_SIZE, GraphInputError, adjacency_matrix, twin_classes
 
-# test id -> the method forced on every level ("sparse" is the top-down push)
+# test id -> the method forced on every level ("sparse" is the top-down push);
+# the backward pass never runs the product, so forcing "dense" leaves its
+# levels to their default push or pull
 FORCED = {"sparse": "push", "pull": "pull", "dense": "dense"}
 
 
 def _force(monkeypatch, method):
-    monkeypatch.setattr(metrics, "_method", lambda push_work, pull_work, product_work: method)
+    monkeypatch.setattr(metrics, "_dense", lambda *work: method == "dense")
+    if method != "dense":
+        monkeypatch.setattr(metrics, "_direction", lambda *work: method)
 
 
 @pytest.fixture(params=["default", *sorted(FORCED)])
@@ -97,7 +102,7 @@ BANDS = {"r1": 1, "r7": 7}
 
 @pytest.mark.parametrize("bands", sorted(BANDS))
 def test_small_graphs_in_forced_bands_match_oracles(bands, monkeypatch):
-    _force(monkeypatch, "dense")  # every level runs the banded product
+    _force(monkeypatch, "dense")  # every forward level runs the banded product
     rng = np.random.default_rng(4244)
     for _ in range(80):
         g = oracles.random_graph(rng, int(rng.integers(1, 14)), float(rng.uniform(0.05, 0.8)))
@@ -106,6 +111,45 @@ def test_small_graphs_in_forced_bands_match_oracles(bands, monkeypatch):
         assert np.array_equal(dist, oracles.bfs_distances(g))
         assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
         assert np.allclose(bet, oracles.brute_betweenness(g), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("forced", sorted(FORCED))
+def test_forced_methods_reach_their_passes(forced, monkeypatch):
+    # push and pull, forced, run every level of both passes; the product runs
+    # forward levels only, and the backward ones still push or pull
+    g = generate(GenSpec("WS", 100, 4, seed=3))
+    calls = {"push": 0, "pull": 0}
+
+    def counting(name):
+        kernel = getattr(metrics, f"_{name}")
+
+        def count(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(metrics, f"_{name}", counting(name))
+    _force(monkeypatch, FORCED[forced])
+    [(_, dist, _, _)] = metrics._source_blocks(g, with_betweenness=True)  # one block
+    depth = int(dist.max())
+    # depth + 1 forward levels, the last finding nothing; depth - 1 backward
+    if forced == "dense":
+        assert calls["push"] + calls["pull"] == depth - 1 > 0
+    else:
+        assert calls == {"push": 0, "pull": 0, FORCED[forced]: 2 * depth}
+
+
+def test_push_from_a_pair_whose_degree_fills_a_run():
+    # the pair's 4 neighbors reach half the 5 output entries, so the pair
+    # fills a run of its own, and no empty run may come before it: bincount
+    # over no weights returns int64 zeros, which cannot take a float sum
+    k5 = from_edge_list(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    out = metrics._push(np.array([4]), np.array([1 / 3]), np.array([4]), k5, 5)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, [1 / 3] * 4 + [0.0])
+    # runs of at least one pair each, in order
+    assert metrics._runs(np.array([4, 1, 9, 0]), 5) == [(0, 2), (2, 4)]
 
 
 def _disconnected():
@@ -127,19 +171,20 @@ GRAPHS = {
 
 # The method each level takes by default, run-length coded, per block of
 # sources: the block's forward levels, the last of which finds nothing new,
-# then its backward ones.
+# then its backward ones, which push or pull but never run the product.
 LEVELS = {
     "ws500": ["push*10 pull*7 | push*8 pull*7"] * 2,
     "ba1000": [
-        "push*2 dense pull*3 | push*2 dense pull",
+        "push*2 dense pull*3 | push*2 pull*2",
         *["push*3 pull*3 | push*2 pull*2"] * 3,
-        *["push*3 dense pull*2 | push dense pull*2"] * 4,
+        *["push*3 dense pull*2 | push*2 pull*2"] * 4,
     ],
     "ba1000-linear": [
-        "push*2 dense pull*3 | push*2 dense pull",
-        *["push*3 dense pull*2 | push dense pull*2"] * 5,
-        "push*3 dense pull*3 | push*2 dense pull*2",
-        "push*3 dense pull*2 | push dense pull*2",
+        "push*2 dense pull*3 | push*2 pull*2",
+        *["push*3 dense pull*2 | push*2 pull*2"] * 4,
+        "push*3 dense pull*2 | push pull*3",
+        "push*3 dense pull*3 | push*2 pull*3",
+        "push*3 dense pull*2 | push pull*3",
     ],
     "disconnected": ["push*20 | push*12 pull*6", "push*20 | push*11 pull*7"],
 }
@@ -158,10 +203,18 @@ def _run_lengths(methods):
 @pytest.mark.parametrize("name", sorted(LEVELS))
 def test_large_graph_levels_take_expected_branch(name, monkeypatch):
     chosen = []
-    choose = metrics._method
+    dense_checks = []
+    dense, direction = metrics._dense, metrics._direction
 
-    def recording(push_work, pull_work, product_work):
-        chosen.append(choose(push_work, pull_work, product_work))
+    def recording_dense(push_work, pull_work, product_work):
+        dense_checks.append(len(chosen))
+        if dense(push_work, pull_work, product_work):
+            chosen.append("dense")
+            return True
+        return False
+
+    def recording_direction(push_work, pull_work):
+        chosen.append(direction(push_work, pull_work))
         return chosen[-1]
 
     built = []
@@ -170,7 +223,8 @@ def test_large_graph_levels_take_expected_branch(name, monkeypatch):
         built.append(graph.n)
         return adjacency_matrix(graph)
 
-    monkeypatch.setattr(metrics, "_method", recording)
+    monkeypatch.setattr(metrics, "_dense", recording_dense)
+    monkeypatch.setattr(metrics, "_direction", recording_direction)
     # wherever the kernel would look the function up
     monkeypatch.setattr(graph_module, "adjacency_matrix", counting)
     monkeypatch.setattr(metrics, "adjacency_matrix", counting, raising=False)
@@ -178,8 +232,12 @@ def test_large_graph_levels_take_expected_branch(name, monkeypatch):
     # the generator runs a block's levels before it yields that block
     for _, dist, _, _ in metrics._source_blocks(GRAPHS[name](), with_betweenness=True):
         forward = int(dist.max()) + 1
+        # every forward level, and no backward one, asks whether to go dense
+        assert dense_checks == list(range(forward))
+        assert "dense" not in chosen[forward:]
         blocks.append(f"{_run_lengths(chosen[:forward])} | {_run_lengths(chosen[forward:])}")
         chosen.clear()
+        dense_checks.clear()
     assert blocks == LEVELS[name]
     # the product reads bands scattered from the CSR arrays, never the matrix
     assert built == []
@@ -344,9 +402,9 @@ def test_all_pairs_distances_peak_memory():
 
 
 def test_dense_level_peak_memory():
-    # Every block of this graph runs the product on its widest levels.  Its
-    # betweenness peaked at 13.3 MB as measured, one 4 MB band included; the
-    # whole float adjacency alone would be 32 MB.
+    # Every block of this graph runs the product on its widest forward
+    # levels.  Its betweenness peaked at 13.0 MB as measured, one 4 MB band
+    # included; the whole float adjacency alone would be 32 MB.
     g = generate(GenSpec("ER", 2000, 100, seed=1))
     assert _peak(betweenness, g) <= 16 * 2**20
 
