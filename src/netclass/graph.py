@@ -138,17 +138,6 @@ def degree_vector(g: Graph) -> np.ndarray:
     return np.diff(g.indptr)
 
 
-def _node_mixes(n: int) -> np.ndarray:
-    # SplitMix64 of the counters 1..n, wrapping uint64 arithmetic
-    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
-
-
 def gather_neighbors(g: Graph, nodes: np.ndarray, deg: np.ndarray) -> np.ndarray:
     """The ascending neighbors of ``nodes``, flat, node after node; ``deg``
     is the degree of each node."""
@@ -157,19 +146,24 @@ def gather_neighbors(g: Graph, nodes: np.ndarray, deg: np.ndarray) -> np.ndarray
     return g.indices[pos]
 
 
-def _rows(g: Graph, nodes: np.ndarray, closed: bool) -> np.ndarray:
-    """The ascending open (or closed) neighborhoods of ``nodes``, flat, node
-    after node."""
-    deg = degree_vector(g)[nodes]
-    row = gather_neighbors(g, nodes, deg).astype(np.int64)
-    if not closed:
-        return row
-    # each node joins its own row; sorting the keys owner * n + member
-    # sorts every row in place
-    owner = np.arange(nodes.size, dtype=np.int64)
-    keys = np.concatenate([np.repeat(owner, deg) * g.n + row, owner * g.n + nodes])
-    keys.sort()
-    return keys % g.n
+def _row_ranks(rows: np.ndarray) -> np.ndarray:
+    """The dense lexicographic rank of each row of a 2-D array: equal rows
+    share a rank, and the ranks order as the rows do.  A zero-width array
+    ranks every row 0."""
+    ranks = np.zeros(len(rows), dtype=np.int64)
+    if rows.shape[1]:
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        ranks[order[1:]] = np.cumsum((rows[1:] != rows[:-1]).any(axis=1))
+    return ranks
+
+
+def _degree_rows(g: Graph, deg: np.ndarray):
+    """For each degree d held by at least two nodes, yield the ascending
+    nodes of degree d and their neighbor rows as a (count, d) array."""
+    for d in np.flatnonzero(np.bincount(deg) > 1).tolist():
+        nodes = np.flatnonzero(deg == d)
+        yield nodes, g.indices[g.indptr[nodes, None] + np.arange(d)]
 
 
 def twin_classes(g: Graph):
@@ -182,34 +176,20 @@ def twin_classes(g: Graph):
     of each class; the class of each node, an index into ``reps``; and the
     int64 size of each class.
 
-    Each row is hashed as the wrapping uint64 sum of fixed per-node mixes
-    (the closed hash adds the node's own mix), and nodes are grouped by
-    degree and hash.  Every member of a group is then checked entry by entry
-    against the group's first node, so a hash collision only leaves a twin
-    undetected.  Apart from the sort, the work and memory are O(n + m).
+    Twins have equal degree, so the rows of each degree are ranked on their
+    own, open rows and closed rows apart (:func:`_row_ranks`); equal ranks
+    are equal rows, so the classes are exact.  All isolated nodes form one
+    open class.
     """
     n = g.n
-    deg = degree_vector(g)
-    mix = _node_mixes(n)
-    run = np.zeros(g.indices.size + 1, dtype=np.uint64)
-    np.cumsum(mix[g.indices], out=run[1:])
-    open_hash = run[g.indptr[1:]] - run[g.indptr[:-1]]
-    del run
     rep = np.arange(n)
-    for closed, h in ((False, open_hash), (True, open_hash + mix)):
-        order = np.lexsort((h, deg))
-        hs, ds = h[order], deg[order]
-        start = np.ones(n, dtype=bool)
-        start[1:] = (hs[1:] != hs[:-1]) | (ds[1:] != ds[:-1])
-        first = order[np.flatnonzero(start)[np.cumsum(start) - 1]]
-        member = first != order
-        u, f = order[member], first[member]
-        if not u.size:
-            continue
-        mismatch = _rows(g, u, closed) != _rows(g, f, closed)
-        owner = np.repeat(np.arange(u.size), deg[u] + closed)
-        same = np.bincount(owner[mismatch], minlength=u.size) == 0
-        rep[u[same]] = f[same]
+    for nodes, rows in _degree_rows(g, degree_vector(g)):
+        for rank in (_row_ranks(rows), _row_ranks(np.sort(np.column_stack([rows, nodes]), axis=1))):
+            # each node lowers its representative to the smallest node of
+            # its rank; a node without a twin of this kind keeps its own
+            first = np.full(nodes.size, n)
+            np.minimum.at(first, rank, nodes)
+            rep[nodes] = np.minimum(rep[nodes], first[rank])
     reps = np.flatnonzero(rep == np.arange(n))
     index = np.empty(n, dtype=np.int64)
     index[reps] = np.arange(reps.size)

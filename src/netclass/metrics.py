@@ -19,9 +19,9 @@ neighbors, which is cheaper once few pairs are left to reach
 both are wide runs a dense matrix product with the adjacency matrix instead,
 read in bands of rows scattered from the neighbor arrays, so the kernel never
 builds an n * n array.  Push and pull sum in a fixed order, and the product
-sums integer path counts, exact in any order below 2**53 (past which the
-kernel warns), so the results are a function of the graph alone: they depend
-neither on ``NETCLASS_THREADS`` nor on the BLAS thread count
+sums integer path counts, exact in any order below 2**53 (past which
+betweenness warns), so the results are a function of the graph alone: they
+depend neither on ``NETCLASS_THREADS`` nor on the BLAS thread count
 (``OPENBLAS_NUM_THREADS``).  Betweenness reuses the forward pass.
 
 Per-node metric vectors are turned into fixed-length feature vectors by
@@ -206,12 +206,7 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
     :func:`~netclass.graph.twin_classes`) with the class sizes as ``mult``:
     no shortest path from a node passes through its twin, so twins have the
     same dependencies, and the class's rows are its representative's times
-    the class size.  Once every block has run with
-    betweenness, warns once when a path count exceeded 2**53, past which
-    float64 no longer holds it exactly.  The warning names the frame two
-    calls above the loop that consumes the blocks: the caller of
-    :func:`betweenness` or :func:`structural_features`, which consume them
-    through :func:`_per_source`.
+    the class size.
 
     Both passes move one level at a time over the block's (source, node)
     pairs at that distance, held as flat indices ``i * n + v`` with ``i``
@@ -238,7 +233,6 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
     # reads.  Blocks only shrink, so a block's pairs fit into the buffer.
     rows = min(n, max(1, _BAND_PAIRS // n))
     band = out = None
-    peak = 0.0
 
     def spent(pairs, weights):
         # The block's part of ``out``, overwritten with the weights on their
@@ -324,7 +318,6 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
         del counts, frontier
         dep = None
         if with_betweenness:
-            peak = max(peak, sigma.max())
             # Dependencies are written one level at a time, deepest first: a
             # pair's entry is final once the level above it has been spread
             # back onto it.  Spreading level L onto L - 1 pushes from L or
@@ -358,14 +351,6 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
         del levels
         yield lo, dist.reshape(b, n), sigma.reshape(b, n), dep
 
-    if peak > _EXACT_COUNT_LIMIT:
-        warnings.warn(
-            f"shortest-path counts reach {peak:.3g} on a graph with "
-            f"n={n}, past 2**53; betweenness is no longer exact",
-            UserWarning,
-            stacklevel=4,
-        )
-
 
 def _per_source(g: Graph, with_betweenness: bool = False):
     """Per-source distance summaries and betweenness, from the kernel's
@@ -377,13 +362,17 @@ def _per_source(g: Graph, with_betweenness: bool = False):
     ``with_betweenness``).  The kernel runs from one representative per twin
     class, whose summaries every member of its class shares: a node and its
     twin are at the same distance from every other node and from each other.
+    With betweenness, warns once when a path count exceeds 2**53, past which
+    float64 no longer holds it exactly, naming the caller of
+    :func:`betweenness` or :func:`structural_features`.
     """
     reps, cls, sizes = twin_classes(g)
     reach = np.empty(reps.size, dtype=np.int64)
     far = np.empty(reps.size, dtype=np.int64)
     ecc = np.empty(reps.size, dtype=np.int64)
     bet = np.zeros(g.n) if with_betweenness else None
-    for lo, dist, _, dep in _source_blocks(g, with_betweenness, reps, sizes):
+    peak = 0.0
+    for lo, dist, sigma, dep in _source_blocks(g, with_betweenness, reps, sizes):
         rows = slice(lo, lo + len(dist))
         reached = dist >= 0
         reach[rows] = reached.sum(axis=1) - 1  # excluding the source itself
@@ -391,6 +380,14 @@ def _per_source(g: Graph, with_betweenness: bool = False):
         ecc[rows] = dist.max(axis=1)
         if with_betweenness:
             bet += dep
+            peak = max(peak, sigma.max())
+    if peak > _EXACT_COUNT_LIMIT:
+        warnings.warn(
+            f"shortest-path counts reach {peak:.3g} on a graph with "
+            f"n={g.n}, past 2**53; betweenness is no longer exact",
+            UserWarning,
+            stacklevel=3,
+        )
     if with_betweenness:
         # Twins have equal betweenness, but a pull sums a node's neighbors in
         # its own CSR order, which can round two closed twins' sums apart;

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, degree_vector, require_dense_size
+from .graph import Graph, _degree_rows, _row_ranks, degree_vector, require_dense_size
 from .metrics import betweenness
 
 # Betweenness values are quantized to this many decimals before they are
@@ -40,29 +40,15 @@ def node_ranking(g: Graph) -> np.ndarray:
     deg = degree_vector(g)
     qbet = np.round(betweenness(g), BETWEENNESS_DECIMALS)
     # a dense code per node that orders like its (-degree, -qbet) pair
-    by_pair = np.lexsort((-qbet, -deg))
-    dp, qp = deg[by_pair], qbet[by_pair]
-    code = _dense_ranks(by_pair, (dp[1:] != dp[:-1]) | (qp[1:] != qp[:-1]))
+    code = _row_ranks(np.column_stack([-deg, -qbet]))
     # Tie-keys are compared only between nodes of equal degree, whose keys
     # have equal length, so per degree the ascending rows of neighbor codes,
-    # ranked row by row, order as the tuples of pairs would.
+    # ranked row by row, order as the tuples of pairs would.  A node alone at
+    # its degree is never compared and keeps tie rank 0.
     tie_rank = np.zeros(g.n, dtype=np.int64)
-    for d in (np.flatnonzero(np.bincount(deg)[1:]) + 1).tolist():
-        nodes = np.flatnonzero(deg == d)
-        rows = np.sort(code[g.indices[g.indptr[nodes, None] + np.arange(d)]], axis=1)
-        by_row = np.lexsort(rows.T[::-1])
-        rows = rows[by_row]
-        tie_rank[nodes] = _dense_ranks(by_row, (rows[1:] != rows[:-1]).any(axis=1))
+    for nodes, rows in _degree_rows(g, deg):
+        tie_rank[nodes] = _row_ranks(np.sort(code[rows], axis=1))
     return np.lexsort((np.arange(g.n), tie_rank, -qbet, -deg))
-
-
-def _dense_ranks(order, changed):
-    """Dense rank of each item, given the sorting permutation ``order`` and
-    whether each item in sorted order differs from the one before it."""
-    ranks = np.empty(order.size, dtype=np.int64)
-    ranks[order[:1]] = 0
-    ranks[order[1:]] = np.cumsum(changed)
-    return ranks
 
 
 def sorted_adjacency(g: Graph) -> np.ndarray:

@@ -1,11 +1,16 @@
 import json
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import netclass
 from netclass import cli
 from netclass.cli import main, parse_extractor
 
@@ -39,6 +44,17 @@ def test_parse_extractor():
         parse_extractor("vgg19")
     with pytest.raises(ValueError, match="takes no arguments"):
         parse_extractor("hu:8")
+
+
+def test_cli_imports_neither_test_oracles_nor_numpy_ma():
+    # networkx and scipy serve the tests only, and numpy.ma would add about
+    # 16 ms and 1.7 MB to every process's startup
+    src = str(Path(netclass.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, netclass.cli; print(*sorted(m for m in ('networkx', 'scipy', 'numpy.ma') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == []
 
 
 def test_classify_takes_no_fold_count(capsys):

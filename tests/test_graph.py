@@ -16,8 +16,7 @@ from netclass import (
     read_feature_csv,
     write_edge_list,
 )
-from netclass.generators import read_manifest
-from netclass import graph as graph_module
+from netclass.generators import generate, preset_rows, read_manifest
 from netclass.graph import MAX_DENSE_SIZE, twin_classes
 
 
@@ -304,20 +303,16 @@ def test_twin_classes_of_named_graphs():
         _assert_twins_match_oracle(g)
 
 
-def test_twin_hash_collisions_only_split_classes(monkeypatch):
-    # With every node mixed to 0, all rows of a degree share one hash; the
-    # exact row check must still keep every non-twin apart.
-    monkeypatch.setattr(graph_module, "_node_mixes", lambda n: np.zeros(n, dtype=np.uint64))
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        g = oracles.random_graph(rng, int(rng.integers(1, 25)), 0.3)
-        reps, cls, sizes = twin_classes(g)
-        want_cls = oracles.twin_classes(g)[1]
-        # each node's representative is a true twin of it, and the smallest
-        # node of its class
-        assert np.array_equal(want_cls[reps[cls]], want_cls)
-        assert (reps[cls] <= np.arange(g.n)).all()
-        assert np.array_equal(np.bincount(cls, minlength=reps.size), sizes)
-    # where each degree's first node is a twin of the rest, nothing is lost
-    for g in (star5(), _complete(4), from_edge_list(7, [(i, j) for i in range(3) for j in range(3, 7)])):
+def test_twin_classes_match_oracle_on_desk_cells():
+    # the first graph of every cell of both desk presets: large degree
+    # classes and hubs; BA alpha=2 has many twins, sparse ER isolated nodes
+    rows = preset_rows("scalefree-desk", 7, count_override=1)
+    rows += preset_rows("synthetic-desk", 7, count_override=1)
+    assert len(rows) == 17
+    twinned = isolated = 0
+    for row in rows:
+        g = generate(row.spec)
         _assert_twins_match_oracle(g)
+        twinned = max(twinned, 1 - twin_classes(g)[0].size / g.n)
+        isolated = max(isolated, int((degree_vector(g) == 0).sum()))
+    assert twinned > 0.5 and isolated > 1
