@@ -11,10 +11,7 @@ from .classify import (
     DatasetError,
     ExperimentReport,
     LabeledDataset,
-    auc_ovr,
     evaluate,
-    stratified_kfold,
-    svm_train,
 )
 from .features import (
     FeatureError,
@@ -72,7 +69,6 @@ __all__ = [
     "adjacency_matrix",
     "all_pairs_distances",
     "assortativity_scalar",
-    "auc_ovr",
     "avg_neighbor_degree",
     "betweenness",
     "clbp_features",
@@ -93,9 +89,7 @@ __all__ = [
     "read_feature_csv",
     "render_pgm",
     "sorted_adjacency",
-    "stratified_kfold",
     "structural_features",
-    "svm_train",
     "write_edge_list",
     "write_feature_csv",
 ]

@@ -1,11 +1,12 @@
-"""Classification protocol: 1-NN and linear SVM under stratified k-fold
+"""Classification protocol: 1-NN and linear SVM under stratified 10-fold
 cross-validation, with per-fold accuracy, an aggregated confusion matrix and
 one-vs-rest AUC.
 
-Everything here is deterministic given (dataset, classifier settings, seed):
-fold shuffles and the SVM's example order come from seeded PCG64 streams,
-distance ties resolve to the lower training index, and decision ties resolve
-to class order.
+The protocol runs on class indices, each label's position in the sorted
+label set.  Everything here is deterministic given (dataset, classifier,
+seed): fold shuffles and the SVM's example order come from seeded PCG64
+streams, distance ties resolve to the lower training index, and decision
+ties resolve to class order.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import make_rng, mix_seed
+
+# Cross-validation folds of every experiment, fewer only for a smaller class.
+FOLDS = 10
 
 
 class DatasetError(ValueError):
@@ -77,40 +81,35 @@ def _check_features(x: np.ndarray) -> None:
         )
 
 
-def stratified_kfold(labels, k: int = 10, seed: int = 0):
-    """Assign each item to a fold, stratified by class.
+def _stratified_folds(y: np.ndarray, classes: tuple[str, ...], seed: int):
+    """Assign each item to a fold, stratified by its class index in ``y``.
 
     Within every class the members are shuffled with the seeded stream and
-    dealt round-robin, so per-class fold sizes differ by at most one.  When
-    some class has fewer than ``k`` members the fold count is reduced to the
-    smallest class size, with a warning rather than silently.  A class with a
-    single member cannot be stratified at all and is an error.
+    dealt round-robin into ``FOLDS`` folds, so per-class fold sizes differ by
+    at most one.  When some class has fewer than ``FOLDS`` members the fold
+    count is reduced to the smallest class size, with a warning rather than
+    silently.  A class with a single member cannot be stratified at all and
+    is an error naming it from ``classes``.
 
     Returns ``(fold_ids, k_used)``.
     """
-    if k < 2:
-        raise DatasetError(f"need at least 2 folds, got {k}")
-    labels = [str(l) for l in labels]
-    classes = sorted(set(labels))
-    arr = np.array(labels)
-    counts = {c: int((arr == c).sum()) for c in classes}
-    smallest = min(counts.values())
+    counts = np.bincount(y, minlength=len(classes))
+    smallest = int(counts.min())
     if smallest < 2:
-        bad = next(c for c in classes if counts[c] == 1)
+        bad = classes[int(np.argmin(counts))]
         raise DatasetError(f"class {bad!r} has a single member; cannot stratify")
-    k_used = min(k, smallest)
-    if k_used < k:
+    k_used = min(FOLDS, smallest)
+    if k_used < FOLDS:
         warnings.warn(
-            f"reducing folds from {k} to {k_used}: smallest class has "
+            f"reducing folds from {FOLDS} to {k_used}: smallest class has "
             f"{smallest} members",
             stacklevel=2,
         )
     rng = make_rng(mix_seed(seed, 0xF01D))
-    folds = np.empty(len(labels), dtype=np.int64)
-    for c in classes:
-        idx = np.flatnonzero(arr == c)
-        perm = rng.permutation(idx.size)
-        folds[idx[perm]] = np.arange(idx.size) % k_used
+    folds = np.empty(y.size, dtype=np.int64)
+    for c in range(len(classes)):
+        idx = np.flatnonzero(y == c)
+        folds[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % k_used
     return folds, k_used
 
 
@@ -145,25 +144,9 @@ SVM_C = 1.0
 SVM_EPOCHS = 30
 
 
-@dataclass
-class SvmModel:
-    classes: tuple[str, ...]
-    mean: np.ndarray
-    scale: np.ndarray
-    keep: np.ndarray
-    weights: np.ndarray  # (n_classes, kept_dims + 1); last column is the bias
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        z = (x[:, self.keep] - self.mean) / self.scale
-        return np.hstack([z, np.ones((z.shape[0], 1))])
-
-    def decision_values(self, x: np.ndarray) -> np.ndarray:
-        return self.transform(x) @ self.weights.T
-
-
-def svm_train(train: LabeledDataset, seed: int = 0) -> SvmModel:
-    """Train one-vs-rest linear classifiers on standardized features.
+def _svm_decisions(x, y, n_classes: int, queries, seed: int) -> np.ndarray:
+    """Train one-vs-rest linear classifiers on ``(x, y)`` and return each
+    class's decision value for every row of ``queries``.
 
     Features are standardized per dimension with the training mean and
     variance; zero-variance dimensions are dropped.  Each class's hinge-loss
@@ -174,23 +157,18 @@ def svm_train(train: LabeledDataset, seed: int = 0) -> SvmModel:
     so training is one pass of vectorized updates.  The bias rides along as
     a constant appended feature.
     """
-    x = np.asarray(train.features, dtype=np.float64)
-    _check_features(x)
-    classes = train.classes
-    if len(classes) < 2:
-        raise DatasetError("SVM training needs at least 2 classes")
     m = x.shape[0]
-    mean_all = x.mean(axis=0)
-    std_all = x.std(axis=0)
-    keep = std_all > 0
-    mean, scale = mean_all[keep], std_all[keep]
-    z = np.hstack([(x[:, keep] - mean) / scale, np.ones((m, 1))])
+    std = x.std(axis=0)
+    keep = std > 0
+    mean, scale = x.mean(axis=0)[keep], std[keep]
 
-    y_idx = train.label_indices()
-    signs = np.where(y_idx[None, :] == np.arange(len(classes))[:, None], 1.0, -1.0)
+    def standardized(rows):
+        return np.hstack([(rows[:, keep] - mean) / scale, np.ones((rows.shape[0], 1))])
 
+    z = standardized(x)
+    signs = np.where(y[None, :] == np.arange(n_classes)[:, None], 1.0, -1.0)
     lam = 1.0 / (SVM_C * m)
-    w = np.zeros((len(classes), z.shape[1]))
+    w = np.zeros((n_classes, z.shape[1]))
     rng = make_rng(mix_seed(seed, 0x5F4))
     t = 0
     for _ in range(SVM_EPOCHS):
@@ -203,7 +181,7 @@ def svm_train(train: LabeledDataset, seed: int = 0) -> SvmModel:
             w *= 1.0 - eta * lam
             if violated.any():
                 w[violated] += eta * s[violated, None] * xi
-    return SvmModel(classes, mean, scale, keep, w)
+    return standardized(queries) @ w.T
 
 
 # ---------------------------------------------------------------------------
@@ -224,30 +202,21 @@ def _auc_binary(scores: np.ndarray, positive: np.ndarray):
     return float(midrank[positive].sum() - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
-def auc_ovr(scores: np.ndarray, labels, classes):
+def _auc_ovr(scores: np.ndarray, y: np.ndarray, classes: tuple[str, ...]):
     """One-vs-rest AUC per class plus the unweighted macro mean.
 
-    ``scores[i, c]`` ranks item i for class c; each class's ROC treats that
-    class as positive and everything else as negative, with tied scores
-    handled by the midpoint convention (equivalently: the probability that a
-    random positive outscores a random negative, ties counting half).  A
-    class absent from ``labels`` has no positives, so its AUC is undefined
-    (None) and excluded from the macro mean.
+    ``scores[i, c]`` ranks item i for class index c; each class's ROC treats
+    the items with ``y == c`` as positive and everything else as negative,
+    with tied scores handled by the midpoint convention (equivalently: the
+    probability that a random positive outscores a random negative, ties
+    counting half).  A class absent from ``y`` has no positives, so its AUC
+    is undefined (None) and excluded from the macro mean.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise DatasetError("AUC needs finite scores")
-    labels = [str(l) for l in labels]
-    per_class = {}
-    defined = []
-    for ci, c in enumerate(classes):
-        positive = np.array([l == c for l in labels])
-        auc = _auc_binary(scores[:, ci], positive)
-        per_class[c] = auc
-        if auc is not None:
-            defined.append(auc)
-    macro = float(np.mean(defined)) if defined else None
-    return per_class, macro
+    per_class = {c: _auc_binary(scores[:, ci], y == ci) for ci, c in enumerate(classes)}
+    defined = [auc for auc in per_class.values() if auc is not None]
+    return per_class, float(np.mean(defined)) if defined else None
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +274,16 @@ class ExperimentReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def evaluate(dataset: LabeledDataset, classifier: str = "knn", folds: int = 10,
+def evaluate(dataset: LabeledDataset, classifier: str = "knn",
              seed: int = 0) -> ExperimentReport:
-    """Stratified k-fold cross-validation of a classifier over the dataset.
+    """Stratified ``FOLDS``-fold cross-validation of a classifier over the
+    dataset.
 
     Each fold trains on the rest and predicts the held-out tenth; fold
     accuracies, the aggregated confusion matrix, and one-vs-rest AUC (from
     the scores of all held-out predictions pooled together) make up the
-    report.  Deterministic given (dataset, settings, seed).
+    report.  Fewer folds run, with a warning, when a class has fewer than
+    ``FOLDS`` members.  Deterministic given (dataset, classifier, seed).
     """
     if classifier not in ("knn", "svm"):
         raise DatasetError(f"unknown classifier {classifier!r}")
@@ -320,39 +291,34 @@ def evaluate(dataset: LabeledDataset, classifier: str = "knn", folds: int = 10,
     if len(classes) < 2:
         raise DatasetError("classification needs at least 2 classes")
     x = dataset.features
+    # the magnitude limit only grows as the row count shrinks, so this also
+    # bounds every fold's training rows
     _check_features(x)
     y = dataset.label_indices()
-    fold_ids, k_used = stratified_kfold(dataset.labels, folds, seed)
+    fold_ids, k_used = _stratified_folds(y, classes, seed)
 
-    n = len(dataset)
     n_classes = len(classes)
-    pred = np.full(n, -1, dtype=np.int64)
-    scores = np.zeros((n, n_classes))
+    pred = np.full(y.size, -1, dtype=np.int64)
+    scores = np.zeros((y.size, n_classes))
     fold_ccr: list[float] = []
     for f in range(k_used):
         test_idx = np.flatnonzero(fold_ids == f)
         train_idx = np.flatnonzero(fold_ids != f)
+        tx, ty = x[train_idx], y[train_idx]
         if classifier == "knn":
-            tx, ty = x[train_idx], y[train_idx]
             for i in test_idx:
                 pred[i], scores[i] = _knn_scores(tx, ty, n_classes, x[i])
         else:
-            sub = LabeledDataset(
-                x[train_idx],
-                tuple(dataset.labels[i] for i in train_idx),
-                dataset.extractor,
-            )
-            model = svm_train(sub, seed=mix_seed(seed, 0xCF, f))
-            dec = model.decision_values(x[test_idx])
-            # the stratified fold keeps every class in the training split,
-            # so the model's class order matches the dataset's
-            pred[test_idx] = np.argmax(dec, axis=1)
-            scores[test_idx] = dec
+            # stratification leaves positive examples of every class in
+            # every training split
+            scores[test_idx] = _svm_decisions(tx, ty, n_classes, x[test_idx],
+                                              mix_seed(seed, 0xCF, f))
+            pred[test_idx] = np.argmax(scores[test_idx], axis=1)
         fold_ccr.append(float((pred[test_idx] == y[test_idx]).mean()))
 
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (y, pred), 1)
-    auc_per_class, auc_macro = auc_ovr(scores, dataset.labels, classes)
+    auc_per_class, auc_macro = _auc_ovr(scores, y, classes)
     mean_ccr = float(np.mean(fold_ccr) * 100.0)
     std_ccr = float(np.std(fold_ccr, ddof=1) * 100.0)
     protocol = {

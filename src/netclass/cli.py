@@ -7,7 +7,8 @@ features can enter at the CSV boundary.  All randomness flows from ``--seed``
 and every run with the same flags is byte-identical.  ``classify`` sets only
 the classifier and seed: ``knn`` is 1-NN, ``svm`` trains with the constants
 ``classify.SVM_C`` and ``classify.SVM_EPOCHS``, and both run 10-fold
-cross-validation, with fewer folds (and a warning) when a class is smaller.
+cross-validation (``classify.FOLDS``), with fewer folds (and a warning) when
+a class is smaller.
 ``features`` takes ``--extractor``/``--out`` pairs, repeated for several
 descriptors of one manifest: each graph is read once and ranked at most
 once per run, whatever the number of pairs, and every CSV is written after
@@ -157,7 +158,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_features(args) -> int:
-    # refused, as a bad label is, before any graph is read
+    # refused, as a bad label or a missing output directory is, before any
+    # graph is read
     if not len(args.extractor) == len(args.out) == len({Path(out).resolve() for out in args.out}):
         raise ValueError("features takes one --out per --extractor, each a different file")
     extractors = [parse_extractor(text) for text in args.extractor]
@@ -168,6 +170,8 @@ def cmd_features(args) -> int:
     labels = [label for _, label, _ in triples]
     for out in args.out:
         check_labels(out, labels)
+        if not Path(out).parent.is_dir():
+            raise FeatureError(f"{out}: no directory {Path(out).parent}")
     per_graph = _fan_out(_feature_rows,
                          [(str(manifest.parent / p), extractors) for p, _, _ in triples])
     for out, rows in zip(args.out, zip(*per_graph)):

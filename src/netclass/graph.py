@@ -71,18 +71,22 @@ def from_edge_list(n, edges) -> Graph:
 
     ``edges`` is any iterable of pairs or an (m, 2) array.  Self-loops are
     dropped and duplicate edges collapse to one.  Anything but integer pairs
-    is rejected, and so are indices outside ``[0, n)``, naming the first
-    offending pair.
+    is rejected, floats, strings and booleans included, and so are indices
+    outside ``[0, n)``, naming the first offending pair.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
         raise GraphInputError(f"node count must be a positive integer, got {n!r}")
     n = int(n)
     rows = edges if isinstance(edges, np.ndarray) else list(edges)
     try:
-        pairs = np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        # past int64, so out of range: the check below names the pair
-        pairs = np.asarray(rows, dtype=object)
+        pairs = np.asarray(rows)
+        if pairs.dtype.kind not in "iu":
+            # Python ints past int64 arrive as float or object arrays: kept
+            # whole, they are out of range and the check below names the pair
+            pairs = np.asarray(rows, dtype=object)
+            if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool)
+                       for e in pairs.flat):
+                raise TypeError
     except (TypeError, ValueError):
         raise GraphInputError("edges must be pairs of integer node indices") from None
     if pairs.size == 0:

@@ -6,12 +6,14 @@ via path-count products, per-pixel descriptor loops, whole-image moment
 products, pairwise AUC counting, one-draw-at-a-time graph growth.  The
 exceptions read the package's own kernels whole, for the tests to compare:
 ``shortest_paths`` stacks the shortest-path kernel's blocks,
-``clbp_whole_image`` codes every pixel with the package's tables, and
-``node_ranking_by_tuples`` sorts on the package's betweenness.
+``clbp_whole_image`` codes every pixel with the package's tables,
+``node_ranking_by_tuples`` sorts on the package's betweenness, and
+``stratified_folds_by_label`` deals folds from the package's seeded stream.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 
 import numpy as np
@@ -415,3 +417,35 @@ def node_ranking_by_tuples(g):
         key=lambda i: (-int(deg[i]), -float(qbet[i]), tie_keys[i], i),
     )
     return np.array(order, dtype=np.int64)
+
+
+def stratified_folds_by_label(labels, k=10, seed=0):
+    """The package's stratified fold dealing from string labels: each
+    class's members, in sorted label order, are shuffled with the seeded
+    stream and dealt round-robin into ``k`` folds, reduced with a warning to
+    the smallest class size.  Returns ``(fold_ids, k_used)``."""
+    from netclass import DatasetError
+    from netclass.rng import make_rng, mix_seed
+
+    labels = [str(l) for l in labels]
+    classes = sorted(set(labels))
+    arr = np.array(labels)
+    counts = {c: int((arr == c).sum()) for c in classes}
+    smallest = min(counts.values())
+    if smallest < 2:
+        bad = next(c for c in classes if counts[c] == 1)
+        raise DatasetError(f"class {bad!r} has a single member; cannot stratify")
+    k_used = min(k, smallest)
+    if k_used < k:
+        warnings.warn(
+            f"reducing folds from {k} to {k_used}: smallest class has "
+            f"{smallest} members",
+            stacklevel=2,
+        )
+    rng = make_rng(mix_seed(seed, 0xF01D))
+    folds = np.empty(len(labels), dtype=np.int64)
+    for c in classes:
+        idx = np.flatnonzero(arr == c)
+        perm = rng.permutation(idx.size)
+        folds[idx[perm]] = np.arange(idx.size) % k_used
+    return folds, k_used

@@ -314,8 +314,8 @@ def test_criterion_7_image_feature_oracles():
 
 
 def test_criterion_8_classifier_oracles(workdir, capsys):
-    from netclass import LabeledDataset, auc_ovr, evaluate
-    from netclass.classify import _knn_scores
+    from netclass import LabeledDataset, evaluate
+    from netclass.classify import _auc_ovr, _knn_scores
 
     rng = np.random.default_rng(808)
     for _ in range(50):
@@ -330,7 +330,7 @@ def test_criterion_8_classifier_oracles(workdir, capsys):
         pred, _ = _knn_scores(x, train.label_indices(), len(train.classes), q)
         assert train.classes[pred] == oracles.knn_oracle(x, y, q)
         scores = np.round(rng.random((m, 1)), 1)
-        per, _ = auc_ovr(scores, y, ("a",))
+        per, _ = _auc_ovr(scores, train.label_indices(), ("a",))
         expected = oracles.auc_pairwise(scores[:, 0], [l == "a" for l in y])
         assert (per["a"] is None) == (expected is None)
         if expected is not None:
@@ -339,7 +339,7 @@ def test_criterion_8_classifier_oracles(workdir, capsys):
     # shuffled-label control at chance level
     x = rng.normal(size=(100, 5))
     y = ["a", "b"] * 50
-    rep = evaluate(LabeledDataset(x, tuple(y)), classifier="knn", folds=10, seed=3)
+    rep = evaluate(LabeledDataset(x, tuple(y)), classifier="knn", seed=3)
     band = 5 * math.sqrt(0.25 / 100)
     assert abs(rep.mean_ccr / 100 - 0.5) <= band
     assert 0.4 <= rep.auc_macro <= 0.6

@@ -147,6 +147,12 @@ def test_features_refuses_its_arguments_before_reading_a_graph(tmp_path, monkeyp
                         "--extractor", "hu", "--extractor", "clbp", *pairs)
         assert code == 1 and err.count("\n") == 1, err
         assert "features takes one --out per --extractor, each a different file" in err
+
+    missing = tmp_path / "missing" / "clbp.csv"
+    code, err = run("features", "--manifest", manifest, "--extractor", "hu", "--out", hu,
+                    "--extractor", "clbp", "--out", missing)
+    assert code == 1 and err.count("\n") == 1, err
+    assert err.startswith(f"error: {missing}: no directory {missing.parent}"), err
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
 
 

@@ -56,6 +56,11 @@ def test_edges_must_be_pairs():
                 np.arange(4), [("a", 1)], [(None, 1)]):
         with pytest.raises(GraphInputError, match="pairs"):
             from_edge_list(3, bad)
+    # not read as the integer pairs they convert to
+    for bad in ([(0.5, 1)], np.array([[0.5, 1.0]]), [(0, 1.0)], [("1", "2")],
+                np.array([["0", "1"]]), [(True, False)], np.array([[True, False]])):
+        with pytest.raises(GraphInputError, match="pairs of integer node indices"):
+            from_edge_list(3, bad)
     assert from_edge_list(3, np.array([[0, 1], [2, 1]])) == from_edge_list(3, [(1, 0), (1, 2)])
     assert from_edge_list(3, np.empty((0, 2), dtype=np.int64)).edge_count == 0
 
