@@ -11,12 +11,14 @@ two runs (say, of two commits or two NETCLASS_THREADS settings) compare with
 one diff of their last lines.
 
 Each preset's missing feature CSVs come from one features run, so each graph
-is read once, and ranked once for hu and clbp together.  On a 2-vCPU host
-with one BLAS thread the run took 64 seconds with one worker and 33 seconds
-with NETCLASS_THREADS=2, which spreads generation and feature extraction
-over cores; at 2 workers the scalefree-desk features stage took 9 seconds,
-where hu and clbp run apart took 10 and 9.  Each generation and features
-stage prints its wall time.
+is read once, ranked once for hu and clbp together, and runs one
+shortest-path kernel pass for both the ranking and the structural
+histograms.  On a 2-vCPU host with one BLAS thread the run took 31 seconds
+with one worker and 21 seconds with NETCLASS_THREADS=2, which spreads
+generation and feature extraction over cores.  At 2 workers the
+scalefree-desk features stage took 7 seconds and the synthetic-desk one
+(projection, hu and structural:combined) 9 seconds.  Each generation and
+features stage prints its wall time.
 """
 
 import argparse

@@ -10,9 +10,12 @@ the classifier and seed: ``knn`` is 1-NN, ``svm`` trains with the constants
 cross-validation (``classify.FOLDS``), with fewer folds (and a warning) when
 a class is smaller.
 ``features`` takes ``--extractor``/``--out`` pairs, repeated for several
-descriptors of one manifest: each graph is read once and ranked at most
-once per run, whatever the number of pairs, and every CSV is written after
-all graphs are described.  ``NETCLASS_THREADS`` sets the worker count of
+descriptors of one manifest: each graph is read once, and ranked at most
+once per run, whatever the number of pairs.  The ranking and the
+``structural`` histograms read one shortest-path kernel pass per graph.
+Every CSV is written after all graphs are described.  Warnings print as one
+``warning: ...`` line each, as errors print ``error: ...``.
+``NETCLASS_THREADS`` sets the worker count of
 ``gen`` (one task per graph drawn and written) and of ``features`` (one task
 per graph read and described).  On Linux the workers are forked from the
 CLI process, so they run the code it has loaded; elsewhere they are spawned
@@ -32,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import metrics, ordering
 from .classify import DatasetError, LabeledDataset, evaluate
 from .features import (
     FeatureError,
@@ -52,8 +56,6 @@ from .generators import (
     write_manifest,
 )
 from .graph import degree_vector, read_edge_list, write_edge_list
-from .metrics import metric_selection, structural_features
-from .ordering import sorted_adjacency
 
 
 # Spawned workers each start an interpreter and import numpy and netclass: on
@@ -75,14 +77,14 @@ def _threads() -> int:
 
 
 # Each extractor kind maps to its descriptor of a graph, given the graph, a
-# metric selection (which only ``structural`` reads) and a getter of the
-# graph's sorted matrix, which ranks the graph on its first call only.
+# metric selection (which only ``structural`` reads), a getter of the graph's
+# sorted matrix and a getter of its shortest-path metrics (see _feature_rows).
 EXTRACTORS = {
     # a 1 x n matrix whose column sums are the degrees
-    "projection": lambda g, _, __: projection(degree_vector(g)[np.newaxis]),
-    "clbp": lambda g, _, image: clbp_features(image()),
-    "hu": lambda g, _, image: hu_moments(image()),
-    "structural": lambda g, which, _: structural_features(g, which),
+    "projection": lambda g, _, __, ___: projection(degree_vector(g)[np.newaxis]),
+    "clbp": lambda g, _, image, __: clbp_features(image()),
+    "hu": lambda g, _, image, __: hu_moments(image()),
+    "structural": lambda g, which, _, paths: metrics._structural(g, which, paths),
 }
 
 
@@ -103,24 +105,30 @@ def parse_extractor(text: str):
     which = rest or "combined"
     if which != "combined":
         which = tuple(w for w in which.split(",") if w)
-    metric_selection(which)
+    metrics.metric_selection(which)
     return kind, which
 
 
 def _feature_rows(task):
+    """One graph's feature rows, one float64 array per extractor, and its
+    warnings (such as inexact path counts) as (text naming the file, category)."""
     path, extractors = task
     g = read_edge_list(path)
-    image = functools.cache(lambda: sorted_adjacency(g))
-    # Warnings (such as inexact path counts) are re-issued naming the file.
+    # ``paths(with_betweenness)`` runs the shortest-path kernel and ``image``
+    # ranks nodes by that run's betweenness, each on its first call only.  When
+    # a pair ranks, every pass runs with betweenness, so the ranking and the
+    # ``structural`` histograms share one pass, whatever metrics they select.
+    ranks = any(kind in ("hu", "clbp") for kind, _ in extractors)
+    run = functools.cache(lambda with_betweenness: metrics._per_source(g, with_betweenness))
+    paths = lambda with_betweenness: run(with_betweenness or ranks)
+    image = functools.cache(lambda: ordering._image(g, ordering._ranking(g, paths(True)[3])))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            rows = [EXTRACTORS[kind](g, which, image).tolist() for kind, which in extractors]
+            rows = [EXTRACTORS[kind](g, which, image, paths) for kind, which in extractors]
         except ValueError as exc:
             raise FeatureError(f"{path}: {exc}") from None
-    for w in caught:
-        warnings.warn(f"{path}: {w.message}", w.category)
-    return rows
+    return rows, [(f"{path}: {w.message}", w.category) for w in caught]
 
 
 def _write_graph(task):
@@ -151,7 +159,7 @@ def cmd_generate(args) -> int:
 
 def cmd_render(args) -> int:
     g = read_edge_list(args.graph)
-    data = render_pgm(sorted_adjacency(g), dilate=args.dilate)
+    data = render_pgm(ordering.sorted_adjacency(g), dilate=args.dilate)
     Path(args.out).write_bytes(data)
     print(f"wrote {args.out}")
     return 0
@@ -174,7 +182,11 @@ def cmd_features(args) -> int:
             raise FeatureError(f"{out}: no directory {Path(out).parent}")
     per_graph = _fan_out(_feature_rows,
                          [(str(manifest.parent / p), extractors) for p, _, _ in triples])
-    for out, rows in zip(args.out, zip(*per_graph)):
+    # issued here, in graph order, whatever the worker count or start method
+    for _, caught in per_graph:
+        for text, category in caught:
+            warnings.warn(text, category)
+    for out, rows in zip(args.out, zip(*(rows for rows, _ in per_graph))):
         write_feature_csv(out, labels, rows)
         print(f"wrote {len(rows)} x {len(rows[0])} features to {out}")
     return 0
@@ -240,11 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # One "warning: ..." line per warning, without Python's file, line number
+    # and source line; only the text changes, so recorders still see them.
+    shown, warnings.formatwarning = warnings.formatwarning, lambda text, *_: f"warning: {text}\n"
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

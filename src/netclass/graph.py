@@ -8,6 +8,7 @@ one constructor.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,7 +81,11 @@ def from_edge_list(n, edges) -> Graph:
     rows = edges if isinstance(edges, np.ndarray) else list(edges)
     try:
         pairs = np.asarray(rows)
-        if pairs.dtype.kind not in "iu":
+        # numpy reads a bool beside ints as 0 or 1, so a list holding one goes
+        # through the element check too: [(True, 2)] is not edge (1, 2)
+        bools = isinstance(rows, list) and pairs.ndim == 2 and not {bool, np.bool_}.isdisjoint(
+            map(type, itertools.chain.from_iterable(rows)))
+        if bools or pairs.dtype.kind not in "iu":
             # Python ints past int64 arrive as float or object arrays: kept
             # whole, they are out of range and the check below names the pair
             pairs = np.asarray(rows, dtype=object)

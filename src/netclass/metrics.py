@@ -352,7 +352,7 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
         yield lo, dist.reshape(b, n), sigma.reshape(b, n), dep
 
 
-def _per_source(g: Graph, with_betweenness: bool = False):
+def _per_source(g: Graph, with_betweenness: bool = False, stacklevel: int = 3):
     """Per-source distance summaries and betweenness, from the kernel's
     blocks as they come, never holding an n x n array.
 
@@ -363,8 +363,9 @@ def _per_source(g: Graph, with_betweenness: bool = False):
     class, whose summaries every member of its class shares: a node and its
     twin are at the same distance from every other node and from each other.
     With betweenness, warns once when a path count exceeds 2**53, past which
-    float64 no longer holds it exactly, naming the caller of
-    :func:`betweenness` or :func:`structural_features`.
+    float64 no longer holds it exactly, at ``stacklevel``: by default the
+    caller of the function that calls this one, such as the caller of
+    :func:`betweenness`.
     """
     reps, cls, sizes = twin_classes(g)
     reach = np.empty(reps.size, dtype=np.int64)
@@ -386,7 +387,7 @@ def _per_source(g: Graph, with_betweenness: bool = False):
             f"shortest-path counts reach {peak:.3g} on a graph with "
             f"n={g.n}, past 2**53; betweenness is no longer exact",
             UserWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     if with_betweenness:
         # Twins have equal betweenness, but a pull sums a node's neighbors in
@@ -573,28 +574,29 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
     standalone :func:`diameter` / :func:`eccentricity` contracts are
     unchanged.
     """
-    sel = metric_selection(which)
-    n = g.n
-    if sel & {"d", "cl", "ecc", "bet"}:
-        reach, far, ecc, bet = _per_source(g, with_betweenness="bet" in sel)
-    parts = []
-    for mid in METRIC_ORDER:
-        if mid not in sel:
-            continue
-        if mid == "pp":
-            parts.append(metric_histogram(avg_neighbor_degree(g), "pp"))
-        elif mid == "d":
-            parts.append(np.array([int(ecc.max()) / _DIAMETER_SCALE]))
-        elif mid == "cl":
-            parts.append(metric_histogram(_closeness(reach, far), "cl"))
-        elif mid == "ecc":
-            parts.append(metric_histogram(ecc, "ecc"))
-        elif mid == "bet":
-            pairs = (n - 1) * (n - 2) / 2.0
-            parts.append(metric_histogram(bet / pairs if pairs > 0 else bet, "bet"))
-        elif mid == "k":
-            parts.append(metric_histogram(degree_vector(g), "k"))
-        elif mid == "cc":
-            parts.append(metric_histogram(clustering(g), "cc"))
-    return np.concatenate(parts)
+    # the 2**53 warning names this function's caller, five frames up from
+    # _per_source: past the lambda, _structural and this function
+    return _structural(g, which, lambda with_bet: _per_source(g, with_bet, stacklevel=5))
 
+
+def _structural(g: Graph, which, paths) -> np.ndarray:
+    """:func:`structural_features`, reading the shortest-path metrics from
+    ``paths(with_betweenness)``, which returns :func:`_per_source`'s
+    ``(reach, far, ecc, bet)``; it is called only when a selected metric
+    needs them."""
+    sel = metric_selection(which)
+    if sel & {"d", "cl", "ecc", "bet"}:
+        reach, far, ecc, bet = paths("bet" in sel)
+    # each selected metric's part, built only when selected
+    parts = {
+        "pp": lambda: metric_histogram(avg_neighbor_degree(g), "pp"),
+        "d": lambda: np.array([int(ecc.max()) / _DIAMETER_SCALE]),
+        "cl": lambda: metric_histogram(_closeness(reach, far), "cl"),
+        "ecc": lambda: metric_histogram(ecc, "ecc"),
+        # over the (n-1)(n-2)/2 interior pairs, at least 1 when n > 2; on
+        # smaller graphs bet is 0
+        "bet": lambda: metric_histogram(bet / max((g.n - 1) * (g.n - 2) / 2.0, 1.0), "bet"),
+        "k": lambda: metric_histogram(degree_vector(g), "k"),
+        "cc": lambda: metric_histogram(clustering(g), "cc"),
+    }
+    return np.concatenate([parts[mid]() for mid in METRIC_ORDER if mid in sel])

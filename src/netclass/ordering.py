@@ -37,8 +37,13 @@ def node_ranking(g: Graph) -> np.ndarray:
     function of the graph; invariant under node relabeling whenever the
     three keys separate all nodes.
     """
+    return _ranking(g, betweenness(g))
+
+
+def _ranking(g: Graph, bet: np.ndarray) -> np.ndarray:
+    """:func:`node_ranking`, given the graph's betweenness ``bet``."""
     deg = degree_vector(g)
-    qbet = np.round(betweenness(g), BETWEENNESS_DECIMALS)
+    qbet = np.round(bet, BETWEENNESS_DECIMALS)
     # a dense code per node that orders like its (-degree, -qbet) pair
     code = _row_ranks(np.column_stack([-deg, -qbet]))
     # Tie-keys are compared only between nodes of equal degree, whose keys
@@ -59,7 +64,11 @@ def sorted_adjacency(g: Graph) -> np.ndarray:
     sequence).  Each edge is set straight at its ranked cell,
     ``a[rank[u], rank[v]] = 1``, so no unsorted matrix is built.
     """
-    perm = node_ranking(g)
+    return _image(g, node_ranking(g))
+
+
+def _image(g: Graph, perm: np.ndarray) -> np.ndarray:
+    """:func:`sorted_adjacency`, given the node ranking ``perm``."""
     require_dense_size(g)
     rank = np.empty(g.n, dtype=np.int64)
     rank[perm] = np.arange(g.n)

@@ -144,7 +144,7 @@ def test_features_parallel_matches_serial(smoke_dataset, tmp_path, capsys, monke
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-PAIRED = ("hu", "clbp", "structural:pp,cl")
+PAIRED = ("hu", "clbp", "structural:pp,cl", "structural:combined")
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +168,7 @@ def test_paired_extractors_match_their_single_runs(smoke_dataset, single_runs, t
                          *pairs)
     assert code == 0, err
     assert out.splitlines() == [f"wrote 24 x {width} features to {tmp_path / f'{i}.csv'}"
-                                for i, width in enumerate((7, 200, 1000))]
+                                for i, width in enumerate((7, 200, 1000, 3001))]
     for i in range(len(PAIRED)):
         assert (tmp_path / f"{i}.csv").read_bytes() == (single_runs / f"{i}.csv").read_bytes()
 
@@ -178,11 +178,11 @@ def test_hu_and_clbp_rank_each_graph_once(smoke_dataset, tmp_path, capsys, monke
 
     ranked = []
 
-    def counting(g, rank=ordering.node_ranking):
+    def counting(g, bet, rank=ordering._ranking):
         ranked.append(g)
-        return rank(g)
+        return rank(g, bet)
 
-    monkeypatch.setattr(ordering, "node_ranking", counting)
+    monkeypatch.setattr(ordering, "_ranking", counting)
     monkeypatch.setenv("NETCLASS_THREADS", "1")
     code, out, err = run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
                          "--extractor", "hu", "--out", str(tmp_path / "hu.csv"),
@@ -191,6 +191,29 @@ def test_hu_and_clbp_rank_each_graph_once(smoke_dataset, tmp_path, capsys, monke
     assert len(out.splitlines()) == 2
     # the list keeps every graph alive, so their ids are distinct
     assert len({id(g) for g in ranked}) == len(ranked) == 24
+
+
+@pytest.mark.parametrize("structural", ["structural:combined", "structural:pp,cl"])
+def test_hu_and_structural_share_one_kernel_pass(smoke_dataset, tmp_path, capsys, monkeypatch,
+                                                 structural):
+    from netclass import metrics
+
+    runs = []
+    real = metrics._per_source
+
+    def counting(g, *args, **kwargs):
+        runs.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_per_source", counting)
+    monkeypatch.setenv("NETCLASS_THREADS", "1")
+    code, out, err = run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
+                         "--extractor", "hu", "--out", str(tmp_path / "hu.csv"),
+                         "--extractor", structural, "--out", str(tmp_path / "st.csv"))
+    assert code == 0, err
+    assert len(out.splitlines()) == 2
+    # the list keeps every graph alive, so their ids are distinct
+    assert len({id(g) for g in runs}) == len(runs) == 24
 
 
 def test_a_failing_pair_writes_no_csv(smoke_dataset, tmp_path, capsys):
@@ -269,11 +292,11 @@ def test_pool_is_capped_at_the_task_count(smoke_dataset, tmp_path, capsys, monke
 def test_workers_run_the_parents_code(smoke_dataset, tmp_path, capsys, monkeypatch):
     from netclass import ordering
 
-    def patched(g):
+    def patched(g, bet):
         raise ValueError("ranking patched in the parent")
 
     # a fresh import in the worker would not see this patch and would succeed
-    monkeypatch.setattr(ordering, "node_ranking", patched)
+    monkeypatch.setattr(ordering, "_ranking", patched)
     monkeypatch.setenv("NETCLASS_THREADS", "2")
     code, _, err = run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
                        "--extractor", "hu", "--out", str(tmp_path / "hu.csv"))
@@ -297,13 +320,14 @@ def test_projection_features_skip_ranking(smoke_dataset, tmp_path, capsys, monke
                       np.array([projection(ordering.sorted_adjacency(read_edge_list(path)))
                                 for path, _, _ in triples]))
 
-    def no_ranking(g):
+    def no_ranking(g, *_):
         raise AssertionError("projection must not rank nodes")
 
     def no_matrix(g):
         raise AssertionError("projection must not build the dense matrix")
 
     monkeypatch.setattr(ordering, "node_ranking", no_ranking)
+    monkeypatch.setattr(ordering, "_ranking", no_ranking)
     monkeypatch.setattr(cli, "adjacency_matrix", no_matrix, raising=False)
     monkeypatch.setattr(graph, "adjacency_matrix", no_matrix)
     csv = tmp_path / "proj.csv"
@@ -337,6 +361,38 @@ def test_features_warning_names_the_file(tmp_path, capsys):
     assert code == 0, err
     assert [str(v.message) for v in caught] == [str(w.message)]
     assert (tmp_path / "hu.csv").exists() and (tmp_path / "clbp.csv").exists()
+
+
+def test_warnings_print_one_line_each(tmp_path):
+    from netclass import write_edge_list
+
+    # pytest records warnings in its own process, so the CLI runs in a child,
+    # which prints them as a user would see them
+    src = str(Path(netclass.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+
+    def stderr(*argv):
+        done = subprocess.run([sys.executable, "-m", "netclass.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stderr
+
+    edges = tmp_path / "grid30.edges"
+    write_edge_list(oracles.grid_graph(30), edges)
+    (tmp_path / "manifest.csv").write_text("path,label,model,n,k_bar,alpha,beta,seed\n"
+                                           "grid30.edges,grid,ER,900,4,,0.1,0\n")
+    err = stderr("features", "--manifest", str(tmp_path / "manifest.csv"),
+                 "--extractor", "structural:bet", "--out", str(tmp_path / "f.csv"))
+    assert re.fullmatch(rf"warning: {re.escape(str(edges))}: shortest-path counts reach "
+                        r"3\.0\de\+16 on a graph with n=900, past 2\*\*53; "
+                        r"betweenness is no longer exact\n", err), err
+
+    csv = tmp_path / "small.csv"
+    csv.write_text("label,f0\n" + "".join(f"{c},{i}\n" for c in "ab" for i in range(3)))
+    for classifier in ("knn", "svm"):
+        err = stderr("classify", "--features", str(csv), "--classifier", classifier)
+        assert err == "warning: reducing folds from 10 to 3: smallest class has 3 members\n"
 
 
 def test_structural_feature_widths(smoke_dataset, tmp_path, capsys):

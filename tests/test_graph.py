@@ -58,7 +58,8 @@ def test_edges_must_be_pairs():
             from_edge_list(3, bad)
     # not read as the integer pairs they convert to
     for bad in ([(0.5, 1)], np.array([[0.5, 1.0]]), [(0, 1.0)], [("1", "2")],
-                np.array([["0", "1"]]), [(True, False)], np.array([[True, False]])):
+                np.array([["0", "1"]]), [(True, False)], np.array([[True, False]]),
+                [(True, 2)], [(0, 1), (2, False)], [(0, 1), (np.False_, 2)]):
         with pytest.raises(GraphInputError, match="pairs of integer node indices"):
             from_edge_list(3, bad)
     assert from_edge_list(3, np.array([[0, 1], [2, 1]])) == from_edge_list(3, [(1, 0), (1, 2)])
