@@ -10,11 +10,12 @@ the classifier and seed: ``knn`` is 1-NN, ``svm`` trains with the constants
 cross-validation (``classify.FOLDS``), with fewer folds (and a warning) when
 a class is smaller.
 ``features`` takes ``--extractor``/``--out`` pairs, repeated for several
-descriptors of one manifest: each graph is read once, and ranked at most
-once per run, whatever the number of pairs.  The ranking and the
-``structural`` histograms read one shortest-path kernel pass per graph.
-Every CSV is written after all graphs are described.  Warnings print as one
-``warning: ...`` line each, as errors print ``error: ...``.
+descriptors of one manifest: each graph is read once, and its work is
+decided before any extractor runs, whatever the number of pairs: at most
+one shortest-path kernel pass, which the ranking and every ``structural``
+pair read, and at most one ranking and sorted matrix, for ``hu`` and
+``clbp``.  Every CSV is written after all graphs are described.  Warnings
+print as one ``warning: ...`` line each, as errors print ``error: ...``.
 ``NETCLASS_THREADS`` sets the worker count of
 ``gen`` (one task per graph drawn and written) and of ``features`` (one task
 per graph read and described).  On Linux the workers are forked from the
@@ -26,7 +27,6 @@ method.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 import warnings
@@ -77,13 +77,14 @@ def _threads() -> int:
 
 
 # Each extractor kind maps to its descriptor of a graph, given the graph, a
-# metric selection (which only ``structural`` reads), a getter of the graph's
-# sorted matrix and a getter of its shortest-path metrics (see _feature_rows).
+# metric selection (which only ``structural`` reads), the graph's sorted
+# matrix and its shortest-path metrics, each None when no pair reads it (see
+# _feature_rows).
 EXTRACTORS = {
     # a 1 x n matrix whose column sums are the degrees
     "projection": lambda g, _, __, ___: projection(degree_vector(g)[np.newaxis]),
-    "clbp": lambda g, _, image, __: clbp_features(image()),
-    "hu": lambda g, _, image, __: hu_moments(image()),
+    "clbp": lambda g, _, image, __: clbp_features(image),
+    "hu": lambda g, _, image, __: hu_moments(image),
     "structural": lambda g, which, _, paths: metrics._structural(g, which, paths),
 }
 
@@ -102,9 +103,7 @@ def parse_extractor(text: str):
         if rest:
             raise ValueError(f"extractor {kind!r} takes no arguments")
         return kind, None
-    which = rest or "combined"
-    if which != "combined":
-        which = tuple(w for w in which.split(",") if w)
+    which = "combined" if rest in ("", "combined") else tuple(w for w in rest.split(",") if w)
     metrics.metric_selection(which)
     return kind, which
 
@@ -114,17 +113,17 @@ def _feature_rows(task):
     warnings (such as inexact path counts) as (text naming the file, category)."""
     path, extractors = task
     g = read_edge_list(path)
-    # ``paths(with_betweenness)`` runs the shortest-path kernel and ``image``
-    # ranks nodes by that run's betweenness, each on its first call only.  When
-    # a pair ranks, every pass runs with betweenness, so the ranking and the
-    # ``structural`` histograms share one pass, whatever metrics they select.
+    # Each graph's work is decided before any extractor runs: one
+    # shortest-path pass that serves every structural pair and the ranking,
+    # which reads betweenness as the selection ("bet",) does, and one sorted
+    # matrix when hu or clbp asks for it.
     ranks = any(kind in ("hu", "clbp") for kind, _ in extractors)
-    run = functools.cache(lambda with_betweenness: metrics._per_source(g, with_betweenness))
-    paths = lambda with_betweenness: run(with_betweenness or ranks)
-    image = functools.cache(lambda: ordering._image(g, ordering._ranking(g, paths(True)[3])))
+    run = metrics._kernel_pass([w for k, w in extractors if k == "structural"] + [("bet",)] * ranks)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            paths = None if run is None else metrics._per_source(g, run)
+            image = ordering._image(g, ordering._ranking(g, paths[3])) if ranks else None
             rows = [EXTRACTORS[kind](g, which, image, paths) for kind, which in extractors]
         except ValueError as exc:
             raise FeatureError(f"{path}: {exc}") from None
@@ -158,16 +157,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    g = read_edge_list(args.graph)
-    data = render_pgm(ordering.sorted_adjacency(g), dilate=args.dilate)
+    data = render_pgm(ordering.sorted_adjacency(read_edge_list(args.graph)), dilate=args.dilate)
     Path(args.out).write_bytes(data)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_features(args) -> int:
-    # refused, as a bad label or a missing output directory is, before any
-    # graph is read
+    # refused, as a bad label or an --out that is a directory or lies in a
+    # missing one is, before any graph is read
     if not len(args.extractor) == len(args.out) == len({Path(out).resolve() for out in args.out}):
         raise ValueError("features takes one --out per --extractor, each a different file")
     extractors = [parse_extractor(text) for text in args.extractor]
@@ -178,6 +176,8 @@ def cmd_features(args) -> int:
     labels = [label for _, label, _ in triples]
     for out in args.out:
         check_labels(out, labels)
+        if Path(out).is_dir():
+            raise FeatureError(f"{out}: is a directory")
         if not Path(out).parent.is_dir():
             raise FeatureError(f"{out}: no directory {Path(out).parent}")
     per_graph = _fan_out(_feature_rows,

@@ -352,7 +352,7 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
         yield lo, dist.reshape(b, n), sigma.reshape(b, n), dep
 
 
-def _per_source(g: Graph, with_betweenness: bool = False, stacklevel: int = 3):
+def _per_source(g: Graph, with_betweenness: bool = False):
     """Per-source distance summaries and betweenness, from the kernel's
     blocks as they come, never holding an n x n array.
 
@@ -363,9 +363,8 @@ def _per_source(g: Graph, with_betweenness: bool = False, stacklevel: int = 3):
     class, whose summaries every member of its class shares: a node and its
     twin are at the same distance from every other node and from each other.
     With betweenness, warns once when a path count exceeds 2**53, past which
-    float64 no longer holds it exactly, at ``stacklevel``: by default the
-    caller of the function that calls this one, such as the caller of
-    :func:`betweenness`.
+    float64 no longer holds it exactly, naming the caller of the function
+    that calls this one, such as the caller of :func:`betweenness`.
     """
     reps, cls, sizes = twin_classes(g)
     reach = np.empty(reps.size, dtype=np.int64)
@@ -387,7 +386,7 @@ def _per_source(g: Graph, with_betweenness: bool = False, stacklevel: int = 3):
             f"shortest-path counts reach {peak:.3g} on a graph with "
             f"n={g.n}, past 2**53; betweenness is no longer exact",
             UserWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     if with_betweenness:
         # Twins have equal betweenness, but a pull sums a node's neighbors in
@@ -574,28 +573,32 @@ def structural_features(g: Graph, which="combined") -> np.ndarray:
     standalone :func:`diameter` / :func:`eccentricity` contracts are
     unchanged.
     """
-    # the 2**53 warning names this function's caller, five frames up from
-    # _per_source: past the lambda, _structural and this function
-    return _structural(g, which, lambda with_bet: _per_source(g, with_bet, stacklevel=5))
+    run = _kernel_pass([which])
+    return _structural(g, which, None if run is None else _per_source(g, run))
+
+
+def _kernel_pass(selections):
+    """The one :func:`_per_source` pass that serves every metric selection
+    in ``selections``: None when none of them reads d, cl, ecc or bet, else
+    its ``with_betweenness``, true when one of them reads bet."""
+    ids = set().union(*map(metric_selection, selections))
+    return "bet" in ids if ids & {"d", "cl", "ecc", "bet"} else None
 
 
 def _structural(g: Graph, which, paths) -> np.ndarray:
-    """:func:`structural_features`, reading the shortest-path metrics from
-    ``paths(with_betweenness)``, which returns :func:`_per_source`'s
-    ``(reach, far, ecc, bet)``; it is called only when a selected metric
-    needs them."""
+    """:func:`structural_features`, given :func:`_per_source`'s ``(reach,
+    far, ecc, bet)`` from a pass that serves ``which`` (see
+    :func:`_kernel_pass`), or None when ``which`` reads none of them."""
     sel = metric_selection(which)
-    if sel & {"d", "cl", "ecc", "bet"}:
-        reach, far, ecc, bet = paths("bet" in sel)
     # each selected metric's part, built only when selected
     parts = {
         "pp": lambda: metric_histogram(avg_neighbor_degree(g), "pp"),
-        "d": lambda: np.array([int(ecc.max()) / _DIAMETER_SCALE]),
-        "cl": lambda: metric_histogram(_closeness(reach, far), "cl"),
-        "ecc": lambda: metric_histogram(ecc, "ecc"),
+        "d": lambda: np.array([int(paths[2].max()) / _DIAMETER_SCALE]),
+        "cl": lambda: metric_histogram(_closeness(*paths[:2]), "cl"),
+        "ecc": lambda: metric_histogram(paths[2], "ecc"),
         # over the (n-1)(n-2)/2 interior pairs, at least 1 when n > 2; on
         # smaller graphs bet is 0
-        "bet": lambda: metric_histogram(bet / max((g.n - 1) * (g.n - 2) / 2.0, 1.0), "bet"),
+        "bet": lambda: metric_histogram(paths[3] / max((g.n - 1) * (g.n - 2) / 2.0, 1.0), "bet"),
         "k": lambda: metric_histogram(degree_vector(g), "k"),
         "cc": lambda: metric_histogram(clustering(g), "cc"),
     }

@@ -193,9 +193,17 @@ def test_hu_and_clbp_rank_each_graph_once(smoke_dataset, tmp_path, capsys, monke
     assert len({id(g) for g in ranked}) == len(ranked) == 24
 
 
-@pytest.mark.parametrize("structural", ["structural:combined", "structural:pp,cl"])
+# Two pairs and the kernel passes they make per graph; a case that pairs hu
+# is named by its structural selection alone.
+@pytest.mark.parametrize("first, second, passes", [
+    ("hu", "structural:combined", 1),
+    ("hu", "structural:pp,cl", 1),
+    ("structural:pp,cl", "structural:combined", 1),
+    ("structural:k", "structural:pp,k,cc", 0),
+], ids=["structural:combined", "structural:pp,cl", "structural:pp,cl+combined",
+        "structural:k+pp,k,cc"])
 def test_hu_and_structural_share_one_kernel_pass(smoke_dataset, tmp_path, capsys, monkeypatch,
-                                                 structural):
+                                                 first, second, passes):
     from netclass import metrics
 
     runs = []
@@ -208,12 +216,12 @@ def test_hu_and_structural_share_one_kernel_pass(smoke_dataset, tmp_path, capsys
     monkeypatch.setattr(metrics, "_per_source", counting)
     monkeypatch.setenv("NETCLASS_THREADS", "1")
     code, out, err = run(capsys, "features", "--manifest", str(smoke_dataset / "manifest.csv"),
-                         "--extractor", "hu", "--out", str(tmp_path / "hu.csv"),
-                         "--extractor", structural, "--out", str(tmp_path / "st.csv"))
+                         "--extractor", first, "--out", str(tmp_path / "a.csv"),
+                         "--extractor", second, "--out", str(tmp_path / "b.csv"))
     assert code == 0, err
     assert len(out.splitlines()) == 2
     # the list keeps every graph alive, so their ids are distinct
-    assert len({id(g) for g in runs}) == len(runs) == 24
+    assert len({id(g) for g in runs}) == len(runs) == 24 * passes
 
 
 def test_a_failing_pair_writes_no_csv(smoke_dataset, tmp_path, capsys):

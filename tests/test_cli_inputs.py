@@ -155,6 +155,13 @@ def test_features_refuses_its_arguments_before_reading_a_graph(tmp_path, monkeyp
     assert err.startswith(f"error: {missing}: no directory {missing.parent}"), err
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
 
+    # an --out that is a directory, which open() would refuse only at the end
+    code, err = run("features", "--manifest", manifest, "--extractor", "hu", "--out", hu,
+                    "--extractor", "clbp", "--out", tmp_path)
+    assert code == 1 and err.count("\n") == 1, err
+    assert err == f"error: {tmp_path}: is a directory\n", err
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
+
 
 def test_dataset_errors_name_the_csv(tmp_path):
     csv = tmp_path / "one-class.csv"

@@ -146,8 +146,8 @@ def test_path_counts_past_2_53_warn():
         betweenness(oracles.grid_graph(30))
     assert len(caught) == 1
     assert caught[0].filename == __file__
-    # structural_features reads the counts through a getter, and still names
-    # its own caller
+    # structural_features runs the kernel pass itself, and the warning names
+    # its caller too
     with pytest.warns(UserWarning, match=r"reach 3\.0\de\+16 .*n=900.*2\*\*53") as caught:
         structural_features(oracles.grid_graph(30))
     assert len(caught) == 1
