@@ -163,6 +163,15 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _check_out(out) -> None:
+    """Refuse an output path that is a directory or lies in a missing one,
+    which writing it would refuse only at the end of the run."""
+    if Path(out).is_dir():
+        raise ValueError(f"{out}: is a directory")
+    if not Path(out).parent.is_dir():
+        raise ValueError(f"{out}: no directory {Path(out).parent}")
+
+
 def cmd_features(args) -> int:
     # refused, as a bad label or an --out that is a directory or lies in a
     # missing one is, before any graph is read
@@ -176,10 +185,7 @@ def cmd_features(args) -> int:
     labels = [label for _, label, _ in triples]
     for out in args.out:
         check_labels(out, labels)
-        if Path(out).is_dir():
-            raise FeatureError(f"{out}: is a directory")
-        if not Path(out).parent.is_dir():
-            raise FeatureError(f"{out}: no directory {Path(out).parent}")
+        _check_out(out)
     per_graph = _fan_out(_feature_rows,
                          [(str(manifest.parent / p), extractors) for p, _, _ in triples])
     # issued here, in graph order, whatever the worker count or start method
@@ -193,6 +199,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.out:
+        _check_out(args.out)
     labels, feats = read_feature_csv(args.features)
     try:
         report = evaluate(

@@ -91,29 +91,37 @@ _EXACT_COUNT_LIMIT = 2.0**53
 _SPARSE_RATIO = 500
 
 # The kernel runs blocks of b = max(1, _BLOCK_PAIRS // n) sources, so its
-# per-block arrays hold about _BLOCK_PAIRS (source, node) pairs, 1 MB per
+# per-block arrays hold about _BLOCK_PAIRS (source, node) pairs, 0.5 MB per
 # float64 array whatever n is, and a graph with a dense level adds one band
-# of the adjacency (see _BAND_PAIRS).  Median of four alternating runs over one
-# seed's benchmark graphs (betweenness of the 10 BA/DM n=1000 graphs, structural
-# features of the 12 WS/GEO n=500 ones), one OpenBLAS thread on a 2-vCPU
-# host: the scale-free graphs took 1.62 s at 1 << 17, 1.67 s at 1 << 16,
-# 1.81 s at 1 << 15, 1.71 s at 1 << 18 and 1.99 s in one block of all n
-# sources, where the arrays no longer fit in cache; the deep graphs were flat
-# within 3% from 1 << 16 up and 13% slower at 1 << 15.  The tracemalloc peak
-# of betweenness on one BA graph, which then also built the whole float
-# adjacency, was 15.5 MB at 1 << 17, 23 MB at 1 << 18 and 53 MB in one block.
-_BLOCK_PAIRS = 1 << 17
+# of the adjacency (see _BAND_PAIRS).  Median of three alternating runs over
+# two seeds' benchmark graphs (betweenness of the 20 BA/DM n=1000 graphs,
+# structural features of the 24 WS/GEO n=500 ones, each set in a fresh
+# process), one OpenBLAS thread on a 2-vCPU host, bands at 1 << 18: time,
+# the largest tracemalloc peak of one graph, and the set's minor page faults.
+#
+#     block     scale-free                 deep
+#     1 << 15   2.17 s   4.3 MB   11.0k    1.31 s   1.9 MB   50.9k
+#     1 << 16   1.93 s   6.6 MB   36.6k    1.30 s   3.9 MB   28.8k
+#     1 << 17   2.06 s  11.1 MB   79.6k    1.22 s   7.2 MB   24.5k
+#     1 << 18   2.06 s  18.4 MB  136.0k    1.34 s  11.5 MB   39.8k
+#
+# The runs of one setting spread by up to 22%, so the times only rule out
+# 1 << 15 on the scale-free graphs (12% slower than 1 << 16); 1 << 16 holds
+# half the memory of 1 << 17 in about the same time.
+_BLOCK_PAIRS = 1 << 16
 
 # The dense product reads the adjacency in bands of r = max(1, _BAND_PAIRS // n)
-# rows (at most n), one reused float64 buffer of r * n entries: 4 MB whatever
-# n is (524 rows at n = 1000, 52 at n = 10,000), where the whole matrix is
+# rows (at most n), one reused float64 buffer of r * n entries: 2 MB whatever
+# n is (262 rows at n = 1000, 26 at n = 10,000), where the whole matrix is
 # 8 MB at n = 1000 and 800 MB at n = 10,000.  Besides its product, each band
-# costs a scatter and a clear of its entries.  Betweenness of the 10 BA/DM
-# n=1000 graphs of two benchmark seeds, two runs, one OpenBLAS thread on a
-# 2-vCPU host: 1.61 s with the whole matrix, 1.65-1.67 s at 1 << 19,
-# 1.66-1.72 s at 1 << 18 and 1.69-1.81 s at 1 << 17; ER n=500 k=200 and ER
-# n=1000 k=100 together took 0.16 s, 0.18-0.19 s, 0.19 s and 0.20-0.21 s.
-_BAND_PAIRS = 1 << 19
+# costs a scatter and a clear of its entries.  The sweep above, blocks at
+# 1 << 16 (only the scale-free graphs have dense levels):
+#
+#     band      scale-free
+#     1 << 17   1.97 s   5.6 MB   51.2k
+#     1 << 18   1.93 s   6.6 MB   36.6k
+#     1 << 19   1.92 s   8.6 MB   17.9k
+_BAND_PAIRS = 1 << 18
 
 
 def _direction(push_work, pull_work):
@@ -152,26 +160,16 @@ def _neighbor_pairs(pairs, k, g):
     return out
 
 
-def _push(pairs, weights, k, g, size):
+def _push(pairs, weights, k, g, out):
     """Sum each pair's weight onto its node's neighbors (one BFS level, top-down).
 
-    Returns the flat float array of ``size`` entries whose entry ``i * n + u``
-    is the sum of ``weights[j]`` over the pairs ``i * n + v`` with u adjacent
-    to v, summed in pair order.
+    Adds to the flat float array ``out``, zeroed by the caller, whose entry
+    ``i * n + u`` gains ``weights[j]`` for each pair ``i * n + v`` with u
+    adjacent to v, added in pair order.
     """
-    out = None
-    for lo, hi in _runs(k, size):
-        part = np.bincount(
-            _neighbor_pairs(pairs[lo:hi], k[lo:hi], g),
-            weights=np.repeat(weights[lo:hi], k[lo:hi]),
-            minlength=size,
-        )
-        if out is None:
-            out = part
-        else:
-            out += part
-        del part
-    return out
+    for lo, hi in _runs(k, out.size):
+        kk = k[lo:hi]
+        np.add.at(out, _neighbor_pairs(pairs[lo:hi], kk, g), np.repeat(weights[lo:hi], kk))
 
 
 def _pull(targets, values, k, g, size):
@@ -225,31 +223,43 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
         sources = np.arange(n)
     total = int(deg.sum())
     block = max(1, _BLOCK_PAIRS // n)
-    # ``out``, the result of the last push or product, stays alive until the
-    # next level replaces it, across blocks too.  Freed at once, its pages went
-    # back to the system and were faulted in again by the next level: on the
-    # deep benchmark graphs that doubled the page faults and cost more time
-    # than pull saved.  Once spent it holds the weights a pull or product
-    # reads.  Blocks only shrink, so a block's pairs fit into the buffer.
+    # ``out`` is the one buffer every push adds into, and it holds the weights
+    # a backward pull or a product reads; only a product replaces it, by its
+    # result.  It stays alive across levels and blocks, since blocks only
+    # shrink: a fresh array per level went back to the system when freed and
+    # was faulted in again by the next level.  The sweep of _BLOCK_PAIRS,
+    # with each push summing its runs into fresh arrays (``np.bincount``) and
+    # adding them up, against pushing into ``out``:
+    #
+    #     block, band          scale-free                 deep
+    #     1 << 17, 1 << 19     2.10 s  14.3 MB  104.2k    1.52 s   8.2 MB  165.5k
+    #       pushed into out    2.08 s  13.1 MB   59.1k    1.33 s   7.2 MB   24.5k
+    #     1 << 16, 1 << 18     2.09 s   7.1 MB   49.3k    1.47 s   4.6 MB  155.3k
+    #       pushed into out    1.93 s   6.6 MB   36.6k    1.30 s   3.9 MB   28.8k
     rows = min(n, max(1, _BAND_PAIRS // n))
     band = out = None
 
-    def spent(pairs, weights):
-        # The block's part of ``out``, overwritten with the weights on their
-        # pairs and 0 elsewhere.
+    def zeroed():
+        # The block's part of ``out``, zeroed.
         nonlocal out
         if out is None:
             out = np.empty(size)
         buf = out[:size]
         buf.fill(0.0)
+        return buf
+
+    def spent(pairs, weights):
+        # The block's part of ``out``, holding the weights on their pairs and
+        # 0 elsewhere.
+        buf = zeroed()
         buf[pairs] = weights
         return buf
 
     def product(pairs, weights):
-        # What _push returns, from the weights times the adjacency matrix,
-        # summed band by band of adjacency rows in row order.  Each band is
-        # scattered from the CSR arrays into ``band`` and cleared after its
-        # product, so the full n x n matrix never exists.
+        # What _push adds into a zeroed buffer, from the weights times the
+        # adjacency matrix, summed band by band of adjacency rows in row
+        # order.  Each band is scattered from the CSR arrays into ``band`` and
+        # cleared after its product, so the full n x n matrix never exists.
         nonlocal band
         x = spent(pairs, weights).reshape(b, n)
         if band is None:
@@ -301,11 +311,12 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
                 frontier, counts = frontier[hit], counts[hit]
             else:
                 if how == "push":
-                    out = _push(frontier, sigma[frontier], deg[frontier % n], g, size)
+                    buf = zeroed()
+                    _push(frontier, sigma[frontier], deg[frontier % n], g, buf)
                 else:
-                    out = product(frontier, sigma[frontier])
-                frontier = np.flatnonzero((out > 0) & (dist < 0))
-                counts = out[frontier]
+                    buf = out = product(frontier, sigma[frontier])
+                frontier = np.flatnonzero((buf > 0) & (dist < 0))
+                counts = buf[frontier]
             if not frontier.size:
                 break
             depth += 1
@@ -329,7 +340,8 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
                 weights = (1.0 + delta[level]) * (1.0 / sigma[level])
                 how = _direction(work[lev], work[lev - 1])
                 if how == "push":
-                    out = buf = _push(level, weights, deg[level % n], g, size)
+                    buf = zeroed()
+                    _push(level, weights, deg[level % n], g, buf)
                 else:
                     buf = spent(level, weights)
                 # Freed before the pull allocates its gather, so the two are

@@ -163,6 +163,21 @@ def test_features_refuses_its_arguments_before_reading_a_graph(tmp_path, monkeyp
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
 
 
+def test_classify_refuses_its_out_before_reading_the_csv(tmp_path, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "read_feature_csv", no_read)
+    csv = tmp_path / "features.csv"
+    csv.write_text("label,f0\na,1.0\nb,2.0\n")
+    # the same messages as features, before the CSV is read or a fold runs
+    missing = tmp_path / "missing" / "report.json"
+    for out, text in ((tmp_path, "is a directory"), (missing, f"no directory {missing.parent}")):
+        code, err = run("classify", "--features", csv, "--classifier", "knn", "--out", out)
+        assert code == 1 and err == f"error: {out}: {text}\n", err
+    assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
+
+
 def test_dataset_errors_name_the_csv(tmp_path):
     csv = tmp_path / "one-class.csv"
     csv.write_text("label,f0\na,1.0\na,2.0\n")

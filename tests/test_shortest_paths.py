@@ -142,10 +142,10 @@ def test_forced_methods_reach_their_passes(forced, monkeypatch):
 
 def test_push_from_a_pair_whose_degree_fills_a_run():
     # the pair's 4 neighbors reach half the 5 output entries, so the pair
-    # fills a run of its own, and no empty run may come before it: bincount
-    # over no weights returns int64 zeros, which cannot take a float sum
+    # fills a run of its own, and no empty run may come before it
     k5 = from_edge_list(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    out = metrics._push(np.array([4]), np.array([1 / 3]), np.array([4]), k5, 5)
+    out = np.zeros(5)
+    metrics._push(np.array([4]), np.array([1 / 3]), np.array([4]), k5, out)
     assert out.dtype == np.float64
     assert np.array_equal(out, [1 / 3] * 4 + [0.0])
     # runs of at least one pair each, in order
@@ -173,20 +173,30 @@ GRAPHS = {
 # sources: the block's forward levels, the last of which finds nothing new,
 # then its backward ones, which push or pull but never run the product.
 LEVELS = {
-    "ws500": ["push*10 pull*7 | push*8 pull*7"] * 2,
+    "ws500": [
+        "push*10 pull*7 | push*8 pull*7",
+        "push*10 pull*6 | push*6 pull*8",
+        "push*9 pull*7 | push*7 pull*7",
+        "push*10 pull*7 | push*8 pull*7",
+    ],
     "ba1000": [
+        "push*2 dense pull*2 | push pull*2",
         "push*2 dense pull*3 | push*2 pull*2",
-        *["push*3 pull*3 | push*2 pull*2"] * 3,
-        *["push*3 dense pull*2 | push*2 pull*2"] * 4,
+        *["push*3 pull*3 | push*2 pull*2"] * 7,
+        *["push*3 dense pull*2 | push*2 pull*2"] * 7,
     ],
     "ba1000-linear": [
         "push*2 dense pull*3 | push*2 pull*2",
-        *["push*3 dense pull*2 | push*2 pull*2"] * 4,
-        "push*3 dense pull*2 | push pull*3",
+        *["push*3 pull*3 | push*2 pull*2"] * 2,
+        *["push*3 dense pull*2 | push*2 pull*2"] * 7,
+        *["push*3 dense pull*2 | push pull*3"] * 3,
         "push*3 dense pull*3 | push*2 pull*3",
-        "push*3 dense pull*2 | push pull*3",
+        *["push*3 dense pull*2 | push pull*3"] * 2,
     ],
-    "disconnected": ["push*20 | push*12 pull*6", "push*20 | push*11 pull*7"],
+    "disconnected": [
+        "push*20 | push*12 pull*6",
+        *["push*20 | push*11 pull*7"] * 2,
+    ],
 }
 
 
@@ -366,13 +376,14 @@ def test_size_cap_applies_without_a_dense_level():
 # tracemalloc peak, in n x n float64 arrays, of betweenness on the BA cells of
 # scalefree-desk (one per attachment exponent) and of structural_features on
 # ws500, and of all_pairs_distances on the second BA cell, as measured.  The
-# kernel's block arrays hold about 1 MB each, and every BA cell but the third
-# also holds one band of the adjacency (4 MB, 0.52 of an array at n = 1000)
+# kernel's block arrays hold about 0.5 MB each, and every BA cell but the third
+# also holds one band of the adjacency (2 MB, 0.26 of an array at n = 1000)
 # for its dense levels; all_pairs_distances adds its n x n result.  A quarter
 # of an array of slack leaves any mutant that keeps one more n x n float64
 # array, such as the stacked distances or the whole float adjacency, over the
-# bound.
-PEAKS = {0: 1.68, 1: 1.81, 2: 1.26, 3: 1.73, "ws500": 4.28, "distances": 2.37}
+# bound, and so are a 4 MB band (the BA cells with dense levels and the
+# distances) and a fresh block-sized push output per level (ws500).
+PEAKS = {0: 0.81, 1: 0.80, 2: 0.58, 3: 0.86, "ws500": 2.01, "distances": 1.67}
 SLACK = 0.25
 
 
@@ -403,10 +414,10 @@ def test_all_pairs_distances_peak_memory():
 
 def test_dense_level_peak_memory():
     # Every block of this graph runs the product on its widest forward
-    # levels.  Its betweenness peaked at 13.0 MB as measured, one 4 MB band
+    # levels.  Its betweenness peaked at 6.5 MB as measured, one 2 MB band
     # included; the whole float adjacency alone would be 32 MB.
     g = generate(GenSpec("ER", 2000, 100, seed=1))
-    assert _peak(betweenness, g) <= 16 * 2**20
+    assert _peak(betweenness, g) <= 9.5 * 2**20
 
 
 # ---------------------------------------------------------------------------
