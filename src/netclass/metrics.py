@@ -15,14 +15,15 @@ backward pass, pushes or pulls, whichever has less edge work.  Push scatters
 the level's (source, node) pairs onto their neighbors over the graph's
 neighbor arrays; pull has each pair that can still receive gather from its
 neighbors, which is cheaper once few pairs are left to reach
-(direction-optimizing BFS, Beamer et al., SC 2012).  A forward level on which
-both are wide runs a dense matrix product with the adjacency matrix instead,
-read in bands of rows scattered from the neighbor arrays, so the kernel never
-builds an n * n array.  Push and pull sum in a fixed order, and the product
-sums integer path counts, exact in any order below 2**53 (past which
-betweenness warns), so the results are a function of the graph alone: they
-depend neither on ``NETCLASS_THREADS`` nor on the BLAS thread count
-(``OPENBLAS_NUM_THREADS``).  Betweenness reuses the forward pass.
+(direction-optimizing BFS, Beamer et al., SC 2012).  A level on which both
+are wide gathers every pair of the block at once, band by band of the
+neighbor arrays: the sparse adjacency times the block's dense rows (Kepner &
+Gilbert, "Graph Algorithms in the Language of Linear Algebra", 2011), summed
+as the pull sums, so the kernel never builds an n * n array.  No level calls
+BLAS and every level sums in a fixed order, so the results are a function of
+the graph alone: they depend neither on ``NETCLASS_THREADS`` nor on the BLAS
+thread count (``OPENBLAS_NUM_THREADS``).  Betweenness reuses the forward
+pass.
 
 Per-node metric vectors are turned into fixed-length feature vectors by
 histogramming over a fixed per-metric range with 500 equal-width bins, so
@@ -74,30 +75,35 @@ _EXACT_COUNT_LIMIT = 2.0**53
 # nodes' neighbors; its edge work is the summed degree of those nodes.  Pull
 # has each pair that can receive gather from its node's neighbors; its edge
 # work is the summed degree of the receiving pairs' nodes.  The cheaper of the
-# two runs, except on a forward level where even that reaches 1 / _SPARSE_RATIO
-# of the b * n * n multiply-adds of a block of b sources: that level runs one
-# dense b x n by n x n product.  The product is forward-only because there it
-# sums integer path counts, exact in any order below 2**53; the backward pass
-# sums fractional dependencies, which BLAS would sum in an order that follows
-# its thread count.  Break-even, measured with one OpenBLAS thread on a 2-vCPU
-# host: one pair-edge costs about as much as 500 multiply-adds of the product.
-# Kernel time over the benchmark's deep (WS/GEO n=500) and scale-free (BA/DM
-# n=1000) graphs of two seeds, in four alternating runs, was flat within about
-# 5% from 350 to 500; at 700 the deep graphs ran 10-15% slower, and at 1000
-# the scale-free graphs ran about 10% and the deep ones about 20% slower (with
-# the product on both passes).  The forward product earns its place: without
-# it, ranking the 80 scale-free benchmark graphs of seeds 1601-1608 took
-# 13.6-16.4 s against 10.6-12.8 s (four alternating runs, medians +24%).
-_SPARSE_RATIO = 500
+# two runs, except on a level where even that reaches 1 / _SPARSE_RATIO of the
+# b * 2m pair-edges of a block of b sources: that level gathers every pair of
+# the block at once over the CSR arrays (:func:`_gather`), with no index
+# arithmetic per pair.  A forward level gathers whenever it is that wide; a
+# backward level only in place of a pull, whose sums the gather repeats bit
+# for bit, so a backward push keeps its own order.  CPU time of betweenness
+# on the benchmark's 20 scale-free graphs (BA/DM n=1000) and of structural
+# features on its 24 deep ones (WS/GEO n=500), seeds 2501-2502: median and
+# range of seven rounds in one process, the settings interleaved, one
+# OpenBLAS thread on a 2-vCPU host.  "product" is the banded BLAS product
+# that wide forward levels ran before, at 1 / 500 of its b * n * n
+# multiply-adds:
+#
+#     ratio     scale-free                deep
+#     product   1.91 s (1.81-2.20)        1.25 s (1.17-1.58)
+#     2         1.77 s (1.72-2.40)        1.36 s (1.18-1.50)
+#     3         1.65 s (1.60-2.13)        1.24 s (1.20-1.42)
+#     4         1.69 s (1.64-2.32)        1.23 s (1.17-1.28)
+#     6         1.81 s (1.68-2.24)        1.27 s (1.25-1.40)
+_SPARSE_RATIO = 3
 
 # The kernel runs blocks of b = max(1, _BLOCK_PAIRS // n) sources, so its
 # per-block arrays hold about _BLOCK_PAIRS (source, node) pairs, 0.5 MB per
-# float64 array whatever n is, and a graph with a dense level adds one band
-# of the adjacency (see _BAND_PAIRS).  Median of three alternating runs over
-# two seeds' benchmark graphs (betweenness of the 20 BA/DM n=1000 graphs,
+# float64 array whatever n is.  Median of three alternating runs over two
+# seeds' benchmark graphs (betweenness of the 20 BA/DM n=1000 graphs,
 # structural features of the 24 WS/GEO n=500 ones, each set in a fresh
-# process), one OpenBLAS thread on a 2-vCPU host, bands at 1 << 18: time,
-# the largest tracemalloc peak of one graph, and the set's minor page faults.
+# process), one OpenBLAS thread on a 2-vCPU host, with the banded product
+# that wide forward levels then ran: time, the largest tracemalloc peak of one
+# graph, and the set's minor page faults.
 #
 #     block     scale-free                 deep
 #     1 << 15   2.17 s   4.3 MB   11.0k    1.31 s   1.9 MB   50.9k
@@ -110,29 +116,16 @@ _SPARSE_RATIO = 500
 # half the memory of 1 << 17 in about the same time.
 _BLOCK_PAIRS = 1 << 16
 
-# The dense product reads the adjacency in bands of r = max(1, _BAND_PAIRS // n)
-# rows (at most n), one reused float64 buffer of r * n entries: 2 MB whatever
-# n is (262 rows at n = 1000, 26 at n = 10,000), where the whole matrix is
-# 8 MB at n = 1000 and 800 MB at n = 10,000.  Besides its product, each band
-# costs a scatter and a clear of its entries.  The sweep above, blocks at
-# 1 << 16 (only the scale-free graphs have dense levels):
-#
-#     band      scale-free
-#     1 << 17   1.97 s   5.6 MB   51.2k
-#     1 << 18   1.93 s   6.6 MB   36.6k
-#     1 << 19   1.92 s   8.6 MB   17.9k
-_BAND_PAIRS = 1 << 18
-
 
 def _direction(push_work, pull_work):
     """Whether one BFS level pushes or pulls, given the edge work of each."""
     return "push" if push_work <= pull_work else "pull"
 
 
-def _dense(push_work, pull_work, product_work):
-    """Whether a forward BFS level runs the dense product instead, given its
-    push and pull edge work and the product's multiply-adds."""
-    return min(push_work, pull_work) >= product_work / _SPARSE_RATIO
+def _wide(push_work, pull_work, gather_work):
+    """Whether a BFS level is wide enough to gather, given its push and pull
+    edge work and the gather's pair-edges; never on a graph without edges."""
+    return gather_work > 0 and min(push_work, pull_work) >= gather_work / _SPARSE_RATIO
 
 
 def _runs(k, size):
@@ -187,6 +180,28 @@ def _pull(targets, values, k, g, size):
     return out
 
 
+def _gather(values, deg, g, out):
+    """For every pair ``i * n + u`` of a block, the sum of ``values[i * n + v]``
+    over the neighbors v of u (one wide BFS level), written into ``out``.
+
+    ``values`` and ``out`` are flat float arrays of the block's size, ``out``
+    zeroed by the caller; pairs of nodes without neighbors keep their 0.  The
+    nodes go in runs of about half ``out``'s size in pair-edges (:func:`_runs`),
+    each summing a gathered copy of its neighbors' columns segment by segment,
+    which are :func:`_pull`'s segments: every sum is the pull's, bit for bit.
+    Returns ``out``.
+    """
+    x = values.reshape(-1, g.n)
+    y = out.reshape(x.shape)
+    for lo, hi in _runs(deg * len(x), out.size):
+        e0 = g.indptr[lo]
+        nz = lo + np.flatnonzero(deg[lo:hi])
+        y[:, nz] = np.add.reduceat(
+            x.take(g.indices[e0:g.indptr[hi]], axis=1), g.indptr[nz] - e0, axis=1
+        )
+    return out
+
+
 def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=None):
     """Level-synchronous BFS from consecutive blocks of sources, each followed
     by the Brandes backward pass if ``with_betweenness``.
@@ -209,12 +224,11 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
     Both passes move one level at a time over the block's (source, node)
     pairs at that distance, held as flat indices ``i * n + v`` with ``i``
     local to the block, and each level pushes or pulls by its edge work
-    (:func:`_direction`); a forward level may run the dense product instead
-    (:func:`_dense`, see ``_SPARSE_RATIO``).  The forward pass keeps each
-    level's pairs for the backward pass.  The product reads the adjacency in
-    bands of rows (see ``_BAND_PAIRS``), so no n x n array is built.  ``g``
-    is still held to the dense size cap, which bounds the run time: each
-    dense level costs b * n * n multiply-adds.
+    (:func:`_direction`), or gathers when it is wide (:func:`_wide`, see
+    ``_SPARSE_RATIO``).  The forward pass keeps each level's pairs for the
+    backward pass.  No n x n array is built, but ``g`` is still held to the
+    dense size cap, which bounds the run time: each wide level costs
+    b * 2m pair-edges.
     """
     require_dense_size(g)
     n = g.n
@@ -223,21 +237,21 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
         sources = np.arange(n)
     total = int(deg.sum())
     block = max(1, _BLOCK_PAIRS // n)
-    # ``out`` is the one buffer every push adds into, and it holds the weights
-    # a backward pull or a product reads; only a product replaces it, by its
-    # result.  It stays alive across levels and blocks, since blocks only
-    # shrink: a fresh array per level went back to the system when freed and
-    # was faulted in again by the next level.  The sweep of _BLOCK_PAIRS,
-    # with each push summing its runs into fresh arrays (``np.bincount``) and
-    # adding them up, against pushing into ``out``:
+    # ``out`` is the one buffer every push adds into and every forward gather
+    # writes into, and it holds the weights a backward pull or gather reads.
+    # It stays alive across levels and blocks, since blocks only shrink: a
+    # fresh array per level went back to the system when freed and was
+    # faulted in again by the next level.  The sweep of _BLOCK_PAIRS, with
+    # each push summing its runs into fresh arrays (``np.bincount``) and
+    # adding them up, against pushing into ``out`` (wide forward levels then
+    # ran a BLAS product, over bands of the adjacency of the given size):
     #
     #     block, band          scale-free                 deep
     #     1 << 17, 1 << 19     2.10 s  14.3 MB  104.2k    1.52 s   8.2 MB  165.5k
     #       pushed into out    2.08 s  13.1 MB   59.1k    1.33 s   7.2 MB   24.5k
     #     1 << 16, 1 << 18     2.09 s   7.1 MB   49.3k    1.47 s   4.6 MB  155.3k
     #       pushed into out    1.93 s   6.6 MB   36.6k    1.30 s   3.9 MB   28.8k
-    rows = min(n, max(1, _BAND_PAIRS // n))
-    band = out = None
+    out = None
 
     def zeroed():
         # The block's part of ``out``, zeroed.
@@ -248,56 +262,27 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
         buf.fill(0.0)
         return buf
 
-    def spent(pairs, weights):
-        # The block's part of ``out``, holding the weights on their pairs and
-        # 0 elsewhere.
-        buf = zeroed()
-        buf[pairs] = weights
-        return buf
-
-    def product(pairs, weights):
-        # What _push adds into a zeroed buffer, from the weights times the
-        # adjacency matrix, summed band by band of adjacency rows in row
-        # order.  Each band is scattered from the CSR arrays into ``band`` and
-        # cleared after its product, so the full n x n matrix never exists.
-        nonlocal band
-        x = spent(pairs, weights).reshape(b, n)
-        if band is None:
-            band = np.zeros(rows * n)
-        acc = None
-        for r0 in range(0, n, rows):
-            r1 = min(r0 + rows, n)
-            cells = np.repeat(np.arange(0, (r1 - r0) * n, n), deg[r0:r1])
-            cells += g.indices[g.indptr[r0]:g.indptr[r1]]
-            band[cells] = 1.0
-            part = x[:, r0:r1] @ band[:(r1 - r0) * n].reshape(r1 - r0, n)
-            band[cells] = 0.0
-            if acc is None:
-                acc = part
-            else:
-                acc += part
-            del part
-        return acc.ravel()
-
     for lo in range(0, sources.size, block):
         src = sources[lo:lo + block]
         b = src.size
         size = b * n
-        product_work = size * n
+        gather_work = b * total
         dist = np.full(size, -1, dtype=np.int32)
         sigma = np.zeros(size)
         frontier = np.arange(b) * n + src  # each source at distance 0
         dist[frontier] = 0
         sigma[frontier] = 1.0
         levels = [frontier]
-        # work[d] is the push work of level d; the pull work of the next
-        # forward level is the summed degree of the pairs not reached yet
-        work = [int(deg[src].sum())]
+        # k is the degree of each frontier pair's node, and work[d] the push
+        # work of level d; the pull work of the next forward level is the
+        # summed degree of the pairs not reached yet
+        k = deg[src]
+        work = [int(k.sum())]
         unreached = b * total - work[0]
         depth = 0
         while True:
-            if _dense(work[depth], unreached, product_work):
-                how = "dense"
+            if _wide(work[depth], unreached, gather_work):
+                how = "gather"
             else:
                 how = _direction(work[depth], unreached)
             if how == "pull":
@@ -305,18 +290,21 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
                 # and deeper pairs still have sigma 0, so sigma is gathered
                 # unmasked.
                 frontier = np.flatnonzero(dist < 0)
-                frontier = frontier[deg[frontier % n] > 0]
-                counts = _pull(frontier, sigma, deg[frontier % n], g, size)
+                k = deg[frontier % n]
+                live = k > 0
+                frontier, k = frontier[live], k[live]
+                counts = _pull(frontier, sigma, k, g, size)
                 hit = counts > 0
-                frontier, counts = frontier[hit], counts[hit]
+                frontier, counts, k = frontier[hit], counts[hit], k[hit]
             else:
+                buf = zeroed()
                 if how == "push":
-                    buf = zeroed()
-                    _push(frontier, sigma[frontier], deg[frontier % n], g, buf)
+                    _push(frontier, sigma[frontier], k, g, buf)
                 else:
-                    buf = out = product(frontier, sigma[frontier])
+                    _gather(sigma, deg, g, buf)  # the pull's sums, for every pair
                 frontier = np.flatnonzero((buf > 0) & (dist < 0))
                 counts = buf[frontier]
+                k = deg[frontier % n]
             if not frontier.size:
                 break
             depth += 1
@@ -324,26 +312,28 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
             sigma[frontier] = counts
             del counts
             levels.append(frontier)
-            work.append(int(deg[frontier % n].sum()))
+            work.append(int(k.sum()))
             unreached -= work[depth]
-        del counts, frontier
+        del counts, frontier, k
         dep = None
         if with_betweenness:
             # Dependencies are written one level at a time, deepest first: a
             # pair's entry is final once the level above it has been spread
-            # back onto it.  Spreading level L onto L - 1 pushes from L or
-            # pulls into L - 1, never through the product (see _SPARSE_RATIO).
-            # The sources' own dependencies (level 0) are never needed.
+            # back onto it.  Spreading level L onto L - 1 pushes from L, or
+            # pulls or gathers into L - 1.  The sources' own dependencies
+            # (level 0) are never needed.
             delta = np.zeros(size)
             for lev in range(depth, 1, -1):
                 level = levels[lev]
                 weights = (1.0 + delta[level]) * (1.0 / sigma[level])
                 how = _direction(work[lev], work[lev - 1])
+                if how == "pull" and _wide(work[lev], work[lev - 1], gather_work):
+                    how = "gather"
+                buf = zeroed()
                 if how == "push":
-                    buf = zeroed()
                     _push(level, weights, deg[level % n], g, buf)
                 else:
-                    buf = spent(level, weights)
+                    buf[level] = weights
                 # Freed before the pull allocates its gather, so the two are
                 # never alive together: deleting it after the pull raised the
                 # deep benchmark graphs' features stage by 0.84 MB peak RSS.
@@ -351,6 +341,8 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
                 level = levels[lev - 1]
                 if how == "pull":
                     contrib = _pull(level, buf, deg[level % n], g, size)
+                elif how == "gather":
+                    contrib = _gather(buf, deg, g, np.zeros(size))[level]
                 else:
                     contrib = buf[level]
                 delta[level] = sigma[level] * contrib

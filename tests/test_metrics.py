@@ -309,11 +309,12 @@ np.savez(sys.argv[1], bet=betweenness(g), rank=node_ranking(g), feats=structural
 
 
 def test_blas_thread_count_does_not_move_betweenness(tmp_path):
-    # ER n=500 k=200 runs 2 forward BFS levels as dense products, and the BA
-    # graphs of attachment exponents 1 and 2 (the second with twins) run 5
-    # and 3; OpenBLAS sums them in an order that depends on its thread count,
-    # but they sum integer path counts, exact in any order below 2**53, and
-    # the backward pass never runs the product
+    # No BFS level calls BLAS, and every level sums in a fixed order.  ER
+    # n=500 k=200 gathers on one forward and one backward level of each of
+    # its 4 blocks, and the BA graph of attachment exponent 1 on 2 forward
+    # levels and 1 backward one; the one of exponent 2 has twins.  Those
+    # levels once ran dense products, which OpenBLAS summed in an order that
+    # followed its thread count, so this test keeps them free of BLAS.
     src = str(Path(netclass.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = []

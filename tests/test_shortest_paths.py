@@ -3,14 +3,15 @@ and of the local metrics on the same graphs.
 
 The kernel runs blocks of sources, and each BFS level of a block pushes its
 (source, node) pairs onto their neighbors or pulls into the pairs that can
-receive from their neighbors, chosen by the edge work of each; a forward level
-on which both are wide runs a dense matrix product instead.  The tests force
-each method by replacing the choice functions ``metrics._direction`` (both
-passes) and ``metrics._dense`` (forward only), force block sizes by replacing
-``metrics._BLOCK_PAIRS`` and the product's bands of adjacency rows by
-replacing ``metrics._BAND_PAIRS``; they check every method, block size and
-band size and the default mix against the brute-force oracles, against
-networkx and against each other.  The metrics run the kernel from one source
+receive from their neighbors, chosen by the edge work of each; a level on
+which both are wide gathers every pair of the block at once instead, reading
+the adjacency in bands of CSR rows.  The tests force each method on both
+passes by replacing the choice functions ``metrics._direction`` and
+``metrics._wide``, force block sizes by replacing ``metrics._BLOCK_PAIRS``
+and the gather's bands by replacing ``metrics._runs``; they check every
+method, block size and band size and the default mix against the
+brute-force oracles, against networkx and against each other, and the gather
+against the pull bit for bit.  The metrics run the kernel from one source
 per twin class; the last tests check them on twin-heavy graphs against the
 kernel run from every source, the oracles and networkx.
 """
@@ -39,18 +40,33 @@ from netclass import (
 from netclass import graph as graph_module
 from netclass import metrics
 from netclass.generators import preset_rows
-from netclass.graph import MAX_DENSE_SIZE, GraphInputError, adjacency_matrix, twin_classes
+from netclass.graph import (
+    MAX_DENSE_SIZE,
+    GraphInputError,
+    adjacency_matrix,
+    degree_vector,
+    twin_classes,
+)
 
-# test id -> the method forced on every level ("sparse" is the top-down push);
-# the backward pass never runs the product, so forcing "dense" leaves its
-# levels to their default push or pull
-FORCED = {"sparse": "push", "pull": "pull", "dense": "dense"}
+# test id -> the method forced on every level of both passes ("sparse" is the
+# top-down push, "dense" the gather that wide levels take); a backward level
+# gathers only where it would pull
+FORCED = {"sparse": "push", "pull": "pull", "dense": "gather"}
+METHODS = ("push", "pull", "gather")
 
 
 def _force(monkeypatch, method):
-    monkeypatch.setattr(metrics, "_dense", lambda *work: method == "dense")
-    if method != "dense":
-        monkeypatch.setattr(metrics, "_direction", lambda *work: method)
+    monkeypatch.setattr(metrics, "_wide", lambda *work: method == "gather")
+    monkeypatch.setattr(metrics, "_direction", lambda *work: "pull" if method == "gather" else method)
+
+
+def _recording(monkeypatch, log):
+    # each kernel method appends its name to ``log`` when it runs a level
+    for name in METHODS:
+        def record(*args, _name=name, _run=getattr(metrics, f"_{name}")):
+            log.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(metrics, f"_{name}", record)
 
 
 @pytest.fixture(params=["default", *sorted(FORCED)])
@@ -94,19 +110,26 @@ def test_small_graphs_in_forced_blocks_match_oracles(blocks, monkeypatch):
         assert np.allclose(bet, oracles.brute_betweenness(g), rtol=0, atol=1e-9)
 
 
-# Adjacency rows per band of the dense product, forced through
-# _BAND_PAIRS = r * n: one row, and a count that divides neither 1000 nor most
-# of the small sizes.
+# Adjacency rows (nodes) per band of the gather, forced by cutting every run
+# of _runs into pieces of at most r: one row, and a count that divides none of
+# the large graph sizes and leaves a short last band on most small ones.
 BANDS = {"r1": 1, "r7": 7}
+
+
+def _band(monkeypatch, r):
+    runs = metrics._runs
+    monkeypatch.setattr(metrics, "_runs", lambda k, size: [
+        (a, min(a + r, hi)) for lo, hi in runs(k, size) for a in range(lo, hi, r)
+    ])
 
 
 @pytest.mark.parametrize("bands", sorted(BANDS))
 def test_small_graphs_in_forced_bands_match_oracles(bands, monkeypatch):
-    _force(monkeypatch, "dense")  # every forward level runs the banded product
+    _force(monkeypatch, "gather")  # every level of both passes gathers
+    _band(monkeypatch, BANDS[bands])
     rng = np.random.default_rng(4244)
     for _ in range(80):
         g = oracles.random_graph(rng, int(rng.integers(1, 14)), float(rng.uniform(0.05, 0.8)))
-        monkeypatch.setattr(metrics, "_BAND_PAIRS", BANDS[bands] * g.n)
         dist, sigma, bet = oracles.shortest_paths(g, with_betweenness=True)
         assert np.array_equal(dist, oracles.bfs_distances(g))
         assert np.array_equal(sigma, oracles.sigma_matrix(g).astype(float))
@@ -115,29 +138,48 @@ def test_small_graphs_in_forced_bands_match_oracles(bands, monkeypatch):
 
 @pytest.mark.parametrize("forced", sorted(FORCED))
 def test_forced_methods_reach_their_passes(forced, monkeypatch):
-    # push and pull, forced, run every level of both passes; the product runs
-    # forward levels only, and the backward ones still push or pull
+    # each method, forced, runs every level of both passes
     g = generate(GenSpec("WS", 100, 4, seed=3))
-    calls = {"push": 0, "pull": 0}
-
-    def counting(name):
-        kernel = getattr(metrics, f"_{name}")
-
-        def count(*args):
-            calls[name] += 1
-            return kernel(*args)
-        return count
-
-    for name in calls:
-        monkeypatch.setattr(metrics, f"_{name}", counting(name))
+    calls = []
+    _recording(monkeypatch, calls)
     _force(monkeypatch, FORCED[forced])
     [(_, dist, _, _)] = metrics._source_blocks(g, with_betweenness=True)  # one block
     depth = int(dist.max())
     # depth + 1 forward levels, the last finding nothing; depth - 1 backward
-    if forced == "dense":
-        assert calls["push"] + calls["pull"] == depth - 1 > 0
-    else:
-        assert calls == {"push": 0, "pull": 0, FORCED[forced]: 2 * depth}
+    assert depth > 1
+    assert calls == [FORCED[forced]] * (2 * depth)
+
+
+def test_gather_matches_pull_bit_for_bit(monkeypatch):
+    # Sums over more than 8 neighbors go pairwise in numpy, so the gather must
+    # cut its segments where the pull does: isolated nodes and hubs of degree
+    # 9 or more, values spread over many binades, and bands of every size.
+    rng = np.random.default_rng(4245)
+    checked = 0
+    for trial in range(30):
+        n = int(rng.integers(12, 40))
+        g = oracles.random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
+        hubs = rng.choice(n, 2, replace=False)
+        edges = set(g.edges()) | {(min(h, v), max(h, v)) for h in hubs.tolist()
+                                  for v in rng.choice(n, 12).tolist() if v != h}
+        g = from_edge_list(n + 3, sorted(edges))  # three isolated nodes
+        deg = degree_vector(g)
+        assert deg.max() >= 9 and (deg == 0).any()
+        b = int(rng.integers(1, 6))
+        values = rng.random(b * g.n) * 2.0 ** rng.integers(-30, 30, b * g.n)
+        if trial % 3:
+            _band(monkeypatch, int(rng.integers(1, 8)))
+        targets = np.flatnonzero(np.tile(deg, b))
+        gathered = metrics._gather(values, deg, g, np.zeros(values.size))
+        pulled = metrics._pull(targets, values, deg[targets % g.n], g, values.size)
+        monkeypatch.undo()
+        assert np.array_equal(gathered[targets], pulled)
+        assert not gathered[np.setdiff1d(np.arange(gathered.size), targets)].any()
+        # a left-to-right sum would round some of these segments apart
+        x = values.reshape(b, g.n)
+        serial = [sum(x[t // g.n, g.neighbors(t % g.n)].tolist()) for t in targets.tolist()]
+        checked += int((np.array(serial) != pulled).sum())
+    assert checked > 0
 
 
 def test_push_from_a_pair_whose_degree_fills_a_run():
@@ -171,7 +213,7 @@ GRAPHS = {
 
 # The method each level takes by default, run-length coded, per block of
 # sources: the block's forward levels, the last of which finds nothing new,
-# then its backward ones, which push or pull but never run the product.
+# then its backward ones.
 LEVELS = {
     "ws500": [
         "push*10 pull*7 | push*8 pull*7",
@@ -180,18 +222,16 @@ LEVELS = {
         "push*10 pull*7 | push*8 pull*7",
     ],
     "ba1000": [
-        "push*2 dense pull*2 | push pull*2",
-        "push*2 dense pull*3 | push*2 pull*2",
-        *["push*3 pull*3 | push*2 pull*2"] * 7,
-        *["push*3 dense pull*2 | push*2 pull*2"] * 7,
+        "push*2 gather pull*2 | push gather pull",
+        *["push*3 pull*3 | push*2 pull*2"] * 14,
+        "push*3 gather pull*2 | push*2 pull*2",
     ],
     "ba1000-linear": [
-        "push*2 dense pull*3 | push*2 pull*2",
-        *["push*3 pull*3 | push*2 pull*2"] * 2,
-        *["push*3 dense pull*2 | push*2 pull*2"] * 7,
-        *["push*3 dense pull*2 | push pull*3"] * 3,
-        "push*3 dense pull*3 | push*2 pull*3",
-        *["push*3 dense pull*2 | push pull*3"] * 2,
+        *["push*3 pull*3 | push*2 pull*2"] * 5,
+        *["push*3 gather pull*2 | push*2 pull*2"] * 5,
+        *["push*3 gather pull*2 | push gather pull*2"] * 3,
+        "push*3 gather pull*3 | push*2 gather pull*2",
+        *["push*3 gather pull*2 | push gather pull*2"] * 2,
     ],
     "disconnected": [
         "push*20 | push*12 pull*6",
@@ -213,28 +253,13 @@ def _run_lengths(methods):
 @pytest.mark.parametrize("name", sorted(LEVELS))
 def test_large_graph_levels_take_expected_branch(name, monkeypatch):
     chosen = []
-    dense_checks = []
-    dense, direction = metrics._dense, metrics._direction
-
-    def recording_dense(push_work, pull_work, product_work):
-        dense_checks.append(len(chosen))
-        if dense(push_work, pull_work, product_work):
-            chosen.append("dense")
-            return True
-        return False
-
-    def recording_direction(push_work, pull_work):
-        chosen.append(direction(push_work, pull_work))
-        return chosen[-1]
-
+    _recording(monkeypatch, chosen)
     built = []
 
     def counting(graph):
         built.append(graph.n)
         return adjacency_matrix(graph)
 
-    monkeypatch.setattr(metrics, "_dense", recording_dense)
-    monkeypatch.setattr(metrics, "_direction", recording_direction)
     # wherever the kernel would look the function up
     monkeypatch.setattr(graph_module, "adjacency_matrix", counting)
     monkeypatch.setattr(metrics, "adjacency_matrix", counting, raising=False)
@@ -242,14 +267,10 @@ def test_large_graph_levels_take_expected_branch(name, monkeypatch):
     # the generator runs a block's levels before it yields that block
     for _, dist, _, _ in metrics._source_blocks(GRAPHS[name](), with_betweenness=True):
         forward = int(dist.max()) + 1
-        # every forward level, and no backward one, asks whether to go dense
-        assert dense_checks == list(range(forward))
-        assert "dense" not in chosen[forward:]
         blocks.append(f"{_run_lengths(chosen[:forward])} | {_run_lengths(chosen[forward:])}")
         chosen.clear()
-        dense_checks.clear()
     assert blocks == LEVELS[name]
-    # the product reads bands scattered from the CSR arrays, never the matrix
+    # the gather reads the CSR arrays, never the matrix
     assert built == []
 
 
@@ -293,15 +314,17 @@ def test_large_graph_forced_blocks_match_oracles(large, large_oracles, blocks, m
     assert np.allclose(b_bet, bet, rtol=0, atol=1e-9)
 
 
-# ba1000 is the large graph whose levels go dense by default (see LEVELS)
+# ba1000 is the large graph whose levels gather by default (see LEVELS)
 @pytest.mark.parametrize("large", ["ba1000"], indirect=True)
 @pytest.mark.parametrize("bands", sorted(BANDS))
 def test_large_graph_forced_bands_match_oracles(large, large_oracles, bands, monkeypatch):
     g, (_, _, bet) = large
-    monkeypatch.setattr(metrics, "_BAND_PAIRS", BANDS[bands] * g.n)
+    _force(monkeypatch, "gather")  # every level of both passes gathers
+    _band(monkeypatch, BANDS[bands])
     b_dist, b_sigma, b_bet = oracles.shortest_paths(g, with_betweenness=True)
     assert np.array_equal(b_dist, large_oracles[0])
     assert np.array_equal(b_sigma, large_oracles[1])
+    # where the default pushes back, the gather sums in another order
     assert np.allclose(b_bet, bet, rtol=0, atol=1e-9)
 
 
@@ -362,8 +385,8 @@ def test_large_graph_local_metrics_match_networkx(large):
 
 
 def test_size_cap_applies_without_a_dense_level():
-    # an edgeless graph never goes dense, but the kernel holds every graph to
-    # the cap of the adjacency matrix its dense levels read
+    # an edgeless graph never gathers, but the kernel holds every graph to
+    # the dense size cap, which bounds its run time
     g = from_edge_list(MAX_DENSE_SIZE + 1, [])
     for metric in (betweenness, closeness, all_pairs_distances):
         with pytest.raises(GraphInputError, match="cap"):
@@ -376,14 +399,13 @@ def test_size_cap_applies_without_a_dense_level():
 # tracemalloc peak, in n x n float64 arrays, of betweenness on the BA cells of
 # scalefree-desk (one per attachment exponent) and of structural_features on
 # ws500, and of all_pairs_distances on the second BA cell, as measured.  The
-# kernel's block arrays hold about 0.5 MB each, and every BA cell but the third
-# also holds one band of the adjacency (2 MB, 0.26 of an array at n = 1000)
-# for its dense levels; all_pairs_distances adds its n x n result.  A quarter
-# of an array of slack leaves any mutant that keeps one more n x n float64
-# array, such as the stacked distances or the whole float adjacency, over the
-# bound, and so are a 4 MB band (the BA cells with dense levels and the
-# distances) and a fresh block-sized push output per level (ws500).
-PEAKS = {0: 0.81, 1: 0.80, 2: 0.58, 3: 0.86, "ws500": 2.01, "distances": 1.67}
+# kernel's block arrays hold about 0.5 MB each (0.07 of an array at n = 1000),
+# and a gathering level adds a gathered band of at most half a block;
+# all_pairs_distances adds its n x n result.  A quarter of an array of slack
+# leaves any mutant that keeps one more n x n float64 array, such as the
+# stacked distances or the whole float adjacency, over the bound, and so is a
+# fresh block-sized push output per level (ws500).
+PEAKS = {0: 0.55, 1: 0.55, 2: 0.58, 3: 0.60, "ws500": 2.01, "distances": 1.41}
 SLACK = 0.25
 
 
@@ -412,12 +434,15 @@ def test_all_pairs_distances_peak_memory():
     assert _peak(all_pairs_distances, g) <= (PEAKS["distances"] + SLACK) * g.n * g.n * 8
 
 
-def test_dense_level_peak_memory():
-    # Every block of this graph runs the product on its widest forward
-    # levels.  Its betweenness peaked at 6.5 MB as measured, one 2 MB band
-    # included; the whole float adjacency alone would be 32 MB.
+def test_dense_level_peak_memory(monkeypatch):
+    # Every level of both passes gathers here, which this graph's levels are
+    # not wide enough to do by default.  Its betweenness peaked at 4.5 MB as
+    # measured, as it does without the gather; the whole float adjacency
+    # alone would be 32 MB, and keeping a 2 MB band of it would cross the
+    # bound too.
     g = generate(GenSpec("ER", 2000, 100, seed=1))
-    assert _peak(betweenness, g) <= 9.5 * 2**20
+    _force(monkeypatch, "gather")
+    assert _peak(betweenness, g) <= 6 * 2**20
 
 
 # ---------------------------------------------------------------------------
