@@ -13,12 +13,12 @@ one diff of their last lines.
 Each preset's missing feature CSVs come from one features run, so each graph
 is read once, ranked once for hu and clbp together, and runs one
 shortest-path kernel pass for both the ranking and the structural
-histograms.  On a 2-vCPU host with one BLAS thread the run took 31 seconds
-with one worker and 21 seconds with NETCLASS_THREADS=2, which spreads
-generation and feature extraction over cores.  At 2 workers the
-scalefree-desk features stage took 7 seconds and the synthetic-desk one
-(projection, hu and structural:combined) 9 seconds.  Each generation and
-features stage prints its wall time.
+histograms.  On a 2-vCPU host with one BLAS thread, three runs of each
+took 27 to 28 seconds with one worker and 16 to 17 seconds with
+NETCLASS_THREADS=2, which spreads generation and feature extraction over
+cores.  At 2 workers the scalefree-desk features stage took 6 seconds and
+the synthetic-desk one (projection, hu and structural:combined) 7 seconds.
+Each generation and features stage prints its wall time.
 """
 
 import argparse

@@ -163,18 +163,23 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _check_out(out) -> None:
+def _check_out(out, inputs) -> None:
     """Refuse an output path that is a directory or lies in a missing one,
-    which writing it would refuse only at the end of the run."""
+    which writing it would refuse only at the end of the run, or that is one
+    of the command's input files (``inputs``, resolved), which it would
+    overwrite."""
     if Path(out).is_dir():
         raise ValueError(f"{out}: is a directory")
     if not Path(out).parent.is_dir():
         raise ValueError(f"{out}: no directory {Path(out).parent}")
+    if Path(out).resolve() in inputs:
+        raise ValueError(f"{out}: is an input of this command")
 
 
 def cmd_features(args) -> int:
-    # refused, as a bad label or an --out that is a directory or lies in a
-    # missing one is, before any graph is read
+    # refused, as a bad label or an --out that is a directory, lies in a
+    # missing one or is the manifest or one of its graphs is, before any
+    # graph is read
     if not len(args.extractor) == len(args.out) == len({Path(out).resolve() for out in args.out}):
         raise ValueError("features takes one --out per --extractor, each a different file")
     extractors = [parse_extractor(text) for text in args.extractor]
@@ -183,11 +188,12 @@ def cmd_features(args) -> int:
     if not triples:
         raise FeatureError(f"{manifest}: empty manifest")
     labels = [label for _, label, _ in triples]
+    graphs = [str(manifest.parent / p) for p, _, _ in triples]
+    inputs = {Path(p).resolve() for p in [manifest, *graphs]}
     for out in args.out:
         check_labels(out, labels)
-        _check_out(out)
-    per_graph = _fan_out(_feature_rows,
-                         [(str(manifest.parent / p), extractors) for p, _, _ in triples])
+        _check_out(out, inputs)
+    per_graph = _fan_out(_feature_rows, [(path, extractors) for path in graphs])
     # issued here, in graph order, whatever the worker count or start method
     for _, caught in per_graph:
         for text, category in caught:
@@ -200,7 +206,7 @@ def cmd_features(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.out:
-        _check_out(args.out)
+        _check_out(args.out, {Path(args.features).resolve()})
     labels, feats = read_feature_csv(args.features)
     try:
         report = evaluate(

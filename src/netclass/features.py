@@ -229,13 +229,13 @@ def render_pgm(m: np.ndarray, dilate: bool = False) -> bytes:
 
 def check_labels(path, labels) -> None:
     """Refuse a label that :func:`read_feature_csv` would not read back
-    unchanged from ``path``: one holding a comma, CR or LF or starting with
-    whitespace."""
+    unchanged from ``path``: one holding a comma, CR or LF, or a lone
+    surrogate, which UTF-8 cannot encode, or starting with whitespace."""
     for row, label in enumerate(map(str, labels), start=1):
-        if label[:1].isspace() or any(c in label for c in ",\r\n"):
+        if label[:1].isspace() or any(c in ",\r\n" or "\ud800" <= c <= "\udfff" for c in label):
             raise FeatureError(
                 f"{path}: row {row}: label {label!r} would not read back; a label "
-                f"may not hold a comma, CR or LF, or start with whitespace"
+                f"may not hold a comma, CR, LF or lone surrogate, or start with whitespace"
             )
 
 

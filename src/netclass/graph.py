@@ -220,7 +220,10 @@ def read_text_lines(path, error: type[ValueError]) -> list[str]:
     return read_text(path, error).split("\n")
 
 
-_N_DIRECTIVE = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")
+_N_DIRECTIVE = re.compile(r"^#\s*n\s*=\s*([0-9]+)\s*$")
+# A node index: an optional minus sign and ASCII digits.  ``int`` also reads
+# a plus sign, underscores between digits and the digits of other scripts.
+_INDEX = re.compile(r"-?[0-9]+")
 # Longest digit run that _digit_lines reads: 10**9 - 1 fits int64.
 _MAX_DIGITS = 9
 
@@ -262,12 +265,13 @@ def _digit_lines(raw: bytes):
 def read_edge_list(path) -> Graph:
     """Parse an edge-list file into a graph.
 
-    Format: UTF-8 text, one ``u v`` pair of non-negative integers per line,
-    whitespace-separated.  Lines starting with ``#`` are comments; a single
-    optional directive line ``# n=<N>`` fixes the node count, otherwise the
-    node count is one plus the largest index seen.  Node counts past
-    ``MAX_DENSE_SIZE`` are refused while parsing, before any per-node
-    storage exists.  Errors name the file, and the line where one is at fault.
+    Format: UTF-8 text, one ``u v`` pair of non-negative integers in ASCII
+    digits per line, whitespace-separated.  Lines starting with ``#`` are
+    comments; a single optional directive line ``# n=<N>`` fixes the node
+    count, otherwise the node count is one plus the largest index seen.
+    Node counts past ``MAX_DENSE_SIZE`` are refused while parsing, before any
+    per-node storage exists.  Errors name the file, and the line where one is
+    at fault.
 
     Plain digit lines are read with numpy into int arrays (see
     :func:`_digit_lines`).  Every other line, and the first digit line past
@@ -300,6 +304,8 @@ def read_edge_list(path) -> Graph:
         if len(parts) != 2:
             raise GraphInputError(f"{path}:{lineno}: expected 'u v', got {line!r}")
         try:
+            if not all(map(_INDEX.fullmatch, parts)):
+                raise ValueError
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphInputError(

@@ -225,10 +225,16 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
     pairs at that distance, held as flat indices ``i * n + v`` with ``i``
     local to the block, and each level pushes or pulls by its edge work
     (:func:`_direction`), or gathers when it is wide (:func:`_wide`, see
-    ``_SPARSE_RATIO``).  The forward pass keeps each level's pairs for the
-    backward pass.  No n x n array is built, but ``g`` is still held to the
-    dense size cap, which bounds the run time: each wide level costs
-    b * 2m pair-edges.
+    ``_SPARSE_RATIO``).  Every level of both passes sums into one block
+    buffer, allocated once per call.  A forward level sums the path counts of
+    the current pairs onto their neighbors there, whichever way it moves (a
+    pull only into the unreached pairs), and the buffer's positive entries at
+    unreached pairs are the next level, one epilogue for all three methods.
+    A backward level pushes its weights into the buffer, or writes them there
+    for a pull or a gather to read.  The forward pass keeps each level's
+    pairs for the backward pass.  No n x n array is built, but ``g`` is still
+    held to the dense size cap, which bounds the run time: each wide level
+    costs b * 2m pair-edges.
     """
     require_dense_size(g)
     n = g.n
@@ -237,8 +243,8 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
         sources = np.arange(n)
     total = int(deg.sum())
     block = max(1, _BLOCK_PAIRS // n)
-    # ``out`` is the one buffer every push adds into and every forward gather
-    # writes into, and it holds the weights a backward pull or gather reads.
+    # ``out`` is that one buffer: every forward level and every backward push
+    # sums into it, and it holds the weights a backward pull or gather reads.
     # It stays alive across levels and blocks, since blocks only shrink: a
     # fresh array per level went back to the system when freed and was
     # faulted in again by the next level.  The sweep of _BLOCK_PAIRS, with
@@ -251,21 +257,12 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
     #       pushed into out    2.08 s  13.1 MB   59.1k    1.33 s   7.2 MB   24.5k
     #     1 << 16, 1 << 18     2.09 s   7.1 MB   49.3k    1.47 s   4.6 MB  155.3k
     #       pushed into out    1.93 s   6.6 MB   36.6k    1.30 s   3.9 MB   28.8k
-    out = None
-
-    def zeroed():
-        # The block's part of ``out``, zeroed.
-        nonlocal out
-        if out is None:
-            out = np.empty(size)
-        buf = out[:size]
-        buf.fill(0.0)
-        return buf
-
+    out = np.empty(min(block, sources.size) * n)
     for lo in range(0, sources.size, block):
         src = sources[lo:lo + block]
         b = src.size
         size = b * n
+        buf = out[:size]
         gather_work = b * total
         dist = np.full(size, -1, dtype=np.int32)
         sigma = np.zeros(size)
@@ -279,42 +276,31 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
         k = deg[src]
         work = [int(k.sum())]
         unreached = b * total - work[0]
-        depth = 0
         while True:
-            if _wide(work[depth], unreached, gather_work):
-                how = "gather"
+            # Each level sums its pairs' path counts into buf, whose positive
+            # entries at unreached pairs are the next level.
+            buf.fill(0.0)
+            if _wide(work[-1], unreached, gather_work):
+                _gather(sigma, deg, g, buf)  # the pull's sums, for every pair
+            elif _direction(work[-1], unreached) == "push":
+                _push(frontier, sigma[frontier], k, g, buf)
             else:
-                how = _direction(work[depth], unreached)
-            if how == "pull":
                 # An unreached pair's neighbors lie at this depth or deeper,
                 # and deeper pairs still have sigma 0, so sigma is gathered
                 # unmasked.
                 frontier = np.flatnonzero(dist < 0)
                 k = deg[frontier % n]
-                live = k > 0
-                frontier, k = frontier[live], k[live]
-                counts = _pull(frontier, sigma, k, g, size)
-                hit = counts > 0
-                frontier, counts, k = frontier[hit], counts[hit], k[hit]
-            else:
-                buf = zeroed()
-                if how == "push":
-                    _push(frontier, sigma[frontier], k, g, buf)
-                else:
-                    _gather(sigma, deg, g, buf)  # the pull's sums, for every pair
-                frontier = np.flatnonzero((buf > 0) & (dist < 0))
-                counts = buf[frontier]
-                k = deg[frontier % n]
+                frontier, k = frontier[k > 0], k[k > 0]
+                buf[frontier] = _pull(frontier, sigma, k, g, size)
+            frontier = np.flatnonzero((buf > 0) & (dist < 0))
+            k = deg[frontier % n]
             if not frontier.size:
                 break
-            depth += 1
-            dist[frontier] = depth
-            sigma[frontier] = counts
-            del counts
+            dist[frontier] = len(levels)
+            sigma[frontier] = buf[frontier]
             levels.append(frontier)
             work.append(int(k.sum()))
-            unreached -= work[depth]
-        del counts, frontier, k
+            unreached -= work[-1]
         dep = None
         if with_betweenness:
             # Dependencies are written one level at a time, deepest first: a
@@ -323,30 +309,26 @@ def _source_blocks(g: Graph, with_betweenness: bool = False, sources=None, mult=
             # pulls or gathers into L - 1.  The sources' own dependencies
             # (level 0) are never needed.
             delta = np.zeros(size)
-            for lev in range(depth, 1, -1):
-                level = levels[lev]
+            for lev in range(len(levels) - 1, 1, -1):
+                level, lower = levels[lev], levels[lev - 1]
                 weights = (1.0 + delta[level]) * (1.0 / sigma[level])
-                how = _direction(work[lev], work[lev - 1])
-                if how == "pull" and _wide(work[lev], work[lev - 1], gather_work):
-                    how = "gather"
-                buf = zeroed()
-                if how == "push":
+                buf.fill(0.0)
+                if _direction(work[lev], work[lev - 1]) == "push":
                     _push(level, weights, deg[level % n], g, buf)
+                    contrib = buf[lower]
                 else:
                     buf[level] = weights
-                # Freed before the pull allocates its gather, so the two are
-                # never alive together: deleting it after the pull raised the
-                # deep benchmark graphs' features stage by 0.84 MB peak RSS.
-                del weights
-                level = levels[lev - 1]
-                if how == "pull":
-                    contrib = _pull(level, buf, deg[level % n], g, size)
-                elif how == "gather":
-                    contrib = _gather(buf, deg, g, np.zeros(size))[level]
-                else:
-                    contrib = buf[level]
-                delta[level] = sigma[level] * contrib
-                del contrib, buf
+                    # Freed before the pull allocates its gather, so the two
+                    # are never alive together: deleting it after the pull
+                    # raised the deep benchmark graphs' features stage by
+                    # 0.84 MB peak RSS.
+                    del weights
+                    if _wide(work[lev], work[lev - 1], gather_work):
+                        contrib = _gather(buf, deg, g, np.zeros(size))[lower]
+                    else:
+                        contrib = _pull(lower, buf, deg[lower % n], g, size)
+                delta[lower] = sigma[lower] * contrib
+                del contrib
             delta = delta.reshape(b, n)
             if mult is not None:
                 delta *= mult[lo:lo + b, None]

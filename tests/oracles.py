@@ -353,7 +353,7 @@ def read_edge_list_by_line(path):
     from netclass.graph import (MAX_DENSE_SIZE, GraphInputError, from_edge_list,
                                 read_text_lines)
 
-    directive = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")
+    directive = re.compile(r"^#\s*n\s*=\s*([0-9]+)\s*$")
     n_directive = None
     edges, linenos = [], []
     for lineno, raw in enumerate(read_text_lines(path, GraphInputError), start=1):
@@ -375,7 +375,11 @@ def read_edge_list_by_line(path):
         parts = line.split()
         if len(parts) != 2:
             raise GraphInputError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        # int() also reads "+3", "1_0" and non-ASCII digits; the format does not
+        digits = [p.removeprefix("-") for p in parts]
         try:
+            if not all(d.isascii() and d.isdigit() for d in digits):
+                raise ValueError
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphInputError(

@@ -178,6 +178,38 @@ def test_classify_refuses_its_out_before_reading_the_csv(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
 
 
+def test_features_refuses_an_out_that_is_one_of_its_inputs(tmp_path, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "read_edge_list", no_read)
+    (tmp_path / "sub").mkdir()
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1\n1 2\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"{MANIFEST_HEADER}\ng.edges,BA,ER,3,2,,0.1,0\n")
+    before = {p: p.read_bytes() for p in (graph, manifest)}
+    # the manifest, a graph it lists, and a graph spelled through another path
+    for out in (manifest, graph, tmp_path / "sub" / ".." / "g.edges"):
+        code, err = run("features", "--manifest", manifest, "--extractor", "hu",
+                        "--out", tmp_path / "hu.csv", "--extractor", "clbp", "--out", out)
+        assert code == 1 and err == f"error: {out}: is an input of this command\n", err
+        assert {p: p.read_bytes() for p in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.edges", "manifest.csv", "sub"]
+
+
+def test_classify_refuses_an_out_that_is_its_csv(tmp_path, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "read_feature_csv", no_read)
+    csv = tmp_path / "q.csv"
+    csv.write_text("label,f0\na,1.0\nb,2.0\n")
+    code, err = run("classify", "--features", csv, "--classifier", "knn", "--out", csv)
+    assert code == 1 and err == f"error: {csv}: is an input of this command\n", err
+    assert csv.read_text() == "label,f0\na,1.0\nb,2.0\n"
+
+
 def test_dataset_errors_name_the_csv(tmp_path):
     csv = tmp_path / "one-class.csv"
     csv.write_text("label,f0\na,1.0\na,2.0\n")

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -371,6 +371,7 @@ def test_feature_csv_refuses_values_that_do_not_read_back(tmp_path, value):
 
 @given(labels=st.lists(st.text(st.characters() | st.sampled_from(" \t\r\n,\x0c\x85\xa0\u2028"),
                                max_size=6), min_size=1, max_size=4))
+@example(labels=["a\ud800"])  # a lone surrogate, which UTF-8 cannot encode
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_feature_csv_accepted_labels_read_back(tmp_path, labels):

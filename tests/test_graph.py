@@ -190,6 +190,26 @@ def test_edge_list_errors_name_the_line(tmp_path):
         read_edge_list(path)
 
 
+def test_edge_list_indices_are_ascii_digits(tmp_path):
+    # int() reads each of these tokens, as 10, 3 and 3
+    path = tmp_path / "g.edges"
+    for line in ("1_0 2", "+3 4", "٣ 1"):
+        path.write_bytes(f"0 1\n{line}\n".encode())
+        with pytest.raises(GraphInputError) as exc:
+            read_edge_list(path)
+        assert str(exc.value) == f"{path}:2: non-integer node index in {line!r}"
+    path.write_text("0 1\n-1 2\n")
+    with pytest.raises(GraphInputError, match=re.escape(f"{path}:2: node index outside 0..")):
+        read_edge_list(path)
+    # a directive of non-ASCII digits is a comment, which fixes no node count
+    path.write_bytes("# n=٣\n".encode())
+    with pytest.raises(GraphInputError) as exc:
+        read_edge_list(path)
+    assert str(exc.value) == f"{path}: no edges and no node-count directive"
+    path.write_bytes("# n=٣\n0 1\n".encode())
+    assert read_edge_list(path).n == 2
+
+
 def test_byte_order_mark_is_dropped(tmp_path):
     # Excel and to_csv(encoding="utf-8-sig") start their files with one
     texts = [
