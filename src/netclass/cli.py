@@ -19,9 +19,11 @@ print as one ``warning: ...`` line each, as errors print ``error: ...``.
 ``NETCLASS_THREADS`` sets the worker count of
 ``gen`` (one task per graph drawn and written) and of ``features`` (one task
 per graph read and described).  On Linux the workers are forked from the
-CLI process, so they run the code it has loaded; elsewhere they are spawned
-as fresh interpreters.  Output bytes depend on neither the worker count nor the start
-method.
+CLI process, which loads every module they run before it forks them, so they
+run the code it has loaded and import nothing themselves; elsewhere they are
+spawned as fresh interpreters.  Output bytes depend on neither the worker
+count nor the start method.  Each command imports the modules it runs when
+it runs, and ``multiprocessing`` is imported only when a pool starts.
 """
 
 from __future__ import annotations
@@ -30,13 +32,10 @@ import argparse
 import os
 import sys
 import warnings
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
-from . import metrics, ordering
-from .classify import DatasetError, LabeledDataset, evaluate
 from .features import (
     FeatureError,
     check_labels,
@@ -76,16 +75,16 @@ def _threads() -> int:
         raise ValueError(f"NETCLASS_THREADS must be an integer, got {raw!r}") from None
 
 
-# Each extractor kind maps to its descriptor of a graph, given the graph, a
-# metric selection (which only ``structural`` reads), the graph's sorted
-# matrix and its shortest-path metrics, each None when no pair reads it (see
-# _feature_rows).
+# Each extractor kind but ``structural`` maps to its descriptor of a graph,
+# given the graph and its sorted matrix (None when no pair reads it).
+# ``structural`` descriptors come from the graph's metric selection and its
+# shortest-path pass, which _feature_rows hands to metrics._structural.
 EXTRACTORS = {
     # a 1 x n matrix whose column sums are the degrees
-    "projection": lambda g, _, __, ___: projection(degree_vector(g)[np.newaxis]),
-    "clbp": lambda g, _, image, __: clbp_features(image),
-    "hu": lambda g, _, image, __: hu_moments(image),
-    "structural": lambda g, which, _, paths: metrics._structural(g, which, paths),
+    "projection": lambda g, _: projection(degree_vector(g)[np.newaxis]),
+    "clbp": lambda _, image: clbp_features(image),
+    "hu": lambda _, image: hu_moments(image),
+    "structural": None,
 }
 
 
@@ -103,14 +102,18 @@ def parse_extractor(text: str):
         if rest:
             raise ValueError(f"extractor {kind!r} takes no arguments")
         return kind, None
+    from .metrics import metric_selection
+
     which = "combined" if rest in ("", "combined") else tuple(w for w in rest.split(",") if w)
-    metrics.metric_selection(which)
+    metric_selection(which)
     return kind, which
 
 
 def _feature_rows(task):
     """One graph's feature rows, one float64 array per extractor, and its
     warnings (such as inexact path counts) as (text naming the file, category)."""
+    from . import metrics, ordering
+
     path, extractors = task
     g = read_edge_list(path)
     # Each graph's work is decided before any extractor runs: one
@@ -124,7 +127,8 @@ def _feature_rows(task):
         try:
             paths = None if run is None else metrics._per_source(g, run)
             image = ordering._image(g, ordering._ranking(g, paths[3])) if ranks else None
-            rows = [EXTRACTORS[kind](g, which, image, paths) for kind, which in extractors]
+            rows = [metrics._structural(g, which, paths) if kind == "structural"
+                    else EXTRACTORS[kind](g, image) for kind, which in extractors]
         except ValueError as exc:
             raise FeatureError(f"{path}: {exc}") from None
     return rows, [(f"{path}: {w.message}", w.category) for w in caught]
@@ -141,6 +145,8 @@ def _fan_out(fn, tasks: list) -> list:
     workers = min(_threads(), len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
+    from multiprocessing import get_context
+
     with get_context(START_METHOD).Pool(workers) as pool:
         return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
 
@@ -157,7 +163,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    data = render_pgm(ordering.sorted_adjacency(read_edge_list(args.graph)), dilate=args.dilate)
+    from .ordering import sorted_adjacency
+
+    _check_out(args.out, {Path(args.graph).resolve()})
+    data = render_pgm(sorted_adjacency(read_edge_list(args.graph)), dilate=args.dilate)
     Path(args.out).write_bytes(data)
     print(f"wrote {args.out}")
     return 0
@@ -193,6 +202,9 @@ def cmd_features(args) -> int:
     for out in args.out:
         check_labels(out, labels)
         _check_out(out, inputs)
+    # loaded before the pool forks, so that no worker imports them itself
+    from . import metrics, ordering
+
     per_graph = _fan_out(_feature_rows, [(path, extractors) for path in graphs])
     # issued here, in graph order, whatever the worker count or start method
     for _, caught in per_graph:
@@ -205,6 +217,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import DatasetError, LabeledDataset, evaluate
+
     if args.out:
         _check_out(args.out, {Path(args.features).resolve()})
     labels, feats = read_feature_csv(args.features)

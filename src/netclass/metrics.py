@@ -16,8 +16,9 @@ the level's (source, node) pairs onto their neighbors over the graph's
 neighbor arrays; pull has each pair that can still receive gather from its
 neighbors, which is cheaper once few pairs are left to reach
 (direction-optimizing BFS, Beamer et al., SC 2012).  A level on which both
-are wide gathers every pair of the block at once, band by band of the
-neighbor arrays: the sparse adjacency times the block's dense rows (Kepner &
+are wide gathers every pair of the block at once, over runs of consecutive
+nodes whose gathered neighbor columns fit within the block's size
+(``_runs``): the sparse adjacency times the block's dense rows (Kepner &
 Gilbert, "Graph Algorithms in the Language of Linear Algebra", 2011), summed
 as the pull sums, so the kernel never builds an n * n array.  No level calls
 BLAS and every level sums in a fixed order, so the results are a function of

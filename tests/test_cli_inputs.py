@@ -198,6 +198,26 @@ def test_features_refuses_an_out_that_is_one_of_its_inputs(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.edges", "manifest.csv", "sub"]
 
 
+def test_render_refuses_its_out_before_reading_the_graph(tmp_path, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "read_edge_list", no_read)
+    (tmp_path / "sub").mkdir()
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1\n1 2\n")
+    missing = tmp_path / "missing" / "g.pgm"
+    # the graph itself, spelled two ways, a directory and a missing directory
+    for out, text in ((graph, "is an input of this command"),
+                      (tmp_path / "sub" / ".." / "g.edges", "is an input of this command"),
+                      (tmp_path, "is a directory"),
+                      (missing, f"no directory {missing.parent}")):
+        code, err = run("render", graph, "--out", out)
+        assert code == 1 and err == f"error: {out}: {text}\n", err
+    assert graph.read_text() == "0 1\n1 2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.edges", "sub"]
+
+
 def test_classify_refuses_an_out_that_is_its_csv(tmp_path, monkeypatch):
     def no_read(path):
         raise AssertionError(f"{path} was read")
