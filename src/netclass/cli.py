@@ -9,6 +9,9 @@ the classifier and seed: ``knn`` is 1-NN, ``svm`` trains with the constants
 ``classify.SVM_C`` and ``classify.SVM_EPOCHS``, and both run 10-fold
 cross-validation (``classify.FOLDS``), with fewer folds (and a warning) when
 a class is smaller.
+``gen`` refuses a ``--preset`` outside ``generators.PRESETS``, naming
+them, and an ``--out`` that exists and is not a directory, with one
+``error:`` line before it makes a directory or draws a graph.
 ``features`` takes ``--extractor``/``--out`` pairs, repeated for several
 descriptors of one manifest: each graph is read once, and its work is
 decided before any extractor runs, whatever the number of pairs: at most
@@ -23,7 +26,8 @@ CLI process, which loads every module they run before it forks them, so they
 run the code it has loaded and import nothing themselves; elsewhere they are
 spawned as fresh interpreters.  Output bytes depend on neither the worker
 count nor the start method.  Each command imports the modules it runs when
-it runs, and ``multiprocessing`` is imported only when a pool starts.
+it runs, so only ``gen`` and ``features`` load ``generators``, and
+``multiprocessing`` is imported only when a pool starts.
 """
 
 from __future__ import annotations
@@ -45,14 +49,6 @@ from .features import (
     read_feature_csv,
     render_pgm,
     write_feature_csv,
-)
-from .generators import (
-    MANIFEST_NAME,
-    PRESETS,
-    generate,
-    preset_rows,
-    read_manifest,
-    write_manifest,
 )
 from .graph import degree_vector, read_edge_list, write_edge_list
 
@@ -135,6 +131,8 @@ def _feature_rows(task):
 
 
 def _write_graph(task):
+    from .generators import generate
+
     spec, path = task
     write_edge_list(generate(spec), path)
 
@@ -152,8 +150,14 @@ def _fan_out(fn, tasks: list) -> list:
 
 
 def cmd_generate(args) -> int:
-    rows = preset_rows(args.preset, args.seed, count_override=args.count)
+    # loads the module of _write_graph before the pool forks, so that no
+    # worker imports it itself
+    from .generators import MANIFEST_NAME, preset_rows, write_manifest
+
     out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"{out}: is not a directory")
+    rows = preset_rows(args.preset, args.seed, count_override=args.count)
     out.mkdir(parents=True, exist_ok=True)
     names = [row.filename() for row in rows]
     _fan_out(_write_graph, [(row.spec, str(out / name)) for row, name in zip(rows, names)])
@@ -186,6 +190,8 @@ def _check_out(out, inputs) -> None:
 
 
 def cmd_features(args) -> int:
+    from .generators import read_manifest
+
     # refused, as a bad label or an --out that is a directory, lies in a
     # missing one or is the manifest or one of its graphs is, before any
     # graph is read
@@ -247,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a preset dataset to disk")
-    p.add_argument("--preset", required=True, choices=PRESETS)
+    p.add_argument("--preset", required=True,
+                   help="dataset grid to draw; an unknown name is refused with the list")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=None,

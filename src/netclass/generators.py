@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -130,30 +131,20 @@ def gen_watts_strogatz(spec: GenSpec) -> Graph:
     """
     n, half = spec.n, spec.k_bar // 2
     rng = make_rng(spec.seed)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for j in range(1, half + 1):
-        for i in range(n):
-            nbrs[i].add((i + j) % n)
-            nbrs[(i + j) % n].add(i)
-    trials = rng.random(n * half)
-    t = 0
-    for j in range(1, half + 1):
-        for i in range(n):
-            fire = trials[t] < spec.beta
-            t += 1
-            if not fire:
-                continue
-            if len(nbrs[i]) >= n - 1:
-                continue  # saturated node: no valid new target exists
-            old = (i + j) % n
-            while True:
-                m = int(rng.integers(0, n))
-                if m != i and m not in nbrs[i]:
-                    break
-            nbrs[i].discard(old)
-            nbrs[old].discard(i)
-            nbrs[i].add(m)
-            nbrs[m].add(i)
+    nbrs = [{(i + d) % n for d in range(-half, half + 1) if d} for i in range(n)]
+    for t in np.flatnonzero(rng.random(n * half) < spec.beta):
+        j, i = divmod(int(t), n)
+        if len(nbrs[i]) >= n - 1:
+            continue  # saturated node: no valid new target exists
+        old = (i + j + 1) % n
+        while True:
+            m = int(rng.integers(0, n))
+            if m != i and m not in nbrs[i]:
+                break
+        nbrs[i].discard(old)
+        nbrs[old].discard(i)
+        nbrs[i].add(m)
+        nbrs[m].add(i)
     return from_edge_list(n, [(i, j) for i, s in enumerate(nbrs) for j in s if i < j])
 
 
@@ -285,9 +276,7 @@ def gen_dorogovtsev_mendes(spec: GenSpec) -> Graph:
     for t in range(3, n):
         picked: set[int] = set()
         while len(picked) < m:
-            idx = int(rng.integers(0, len(edges)))
-            if idx not in picked:
-                picked.add(idx)
+            picked.add(int(rng.integers(0, len(edges))))
         linked: set[int] = set()
         for idx in sorted(picked):
             for endpoint in edges[idx]:
@@ -333,7 +322,19 @@ def dataset_seed(base_seed: int, model: str, n: int, k_bar: int,
 # Named dataset presets
 # ---------------------------------------------------------------------------
 
-PRESETS = ("synthetic-desk", "synthetic-full", "scalefree-desk", "scalefree-full")
+# Each preset's cells (model, alpha, class label), node counts, mean degrees
+# and replicates per cell.  A BA cell whose alpha is None cycles its
+# replicates through BA_ALPHAS, so the class spans linear and nonlinear
+# attachment.
+_MIXED = tuple((model, None, model) for model in ("ER", "WS", "BA", "GEO"))
+_SCALEFREE = (*(("BA", a, f"BA-{a}") for a in BA_ALPHAS), ("DM", None, "DM"))
+_PRESETS = {
+    "synthetic-desk": (_MIXED, (500,), (4, 6, 8), 25),
+    "synthetic-full": (_MIXED, (500, 1000, 1500, 2000), (4, 6, 8, 10, 12, 14, 16), 100),
+    "scalefree-desk": (_SCALEFREE, (1000,), (8,), 20),
+    "scalefree-full": (_SCALEFREE, (1000,), (8,), 100),
+}
+PRESETS = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -353,42 +354,22 @@ class DatasetRow:
 def preset_rows(name: str, base_seed: int, count_override: int | None = None):
     """Expand a preset into fully-seeded :class:`DatasetRow` entries.
 
-    Mixed synthetic grids hold four classes (ER, WS, BA, GEO); BA replicates
-    cycle alpha through ``BA_ALPHAS`` so the class spans linear and nonlinear
-    attachment.  Scalefree grids hold five classes: BA at each alpha plus DM,
-    all at n=1000, k_bar=8.  ``count_override``, if given, must be at least 1.
+    Rows run cell by cell, then node count, mean degree and replicate.
+    Mixed synthetic grids hold four classes (ER, WS, BA, GEO); scalefree
+    grids hold five: BA at each alpha plus DM, all at n=1000, k_bar=8.
+    ``count_override``, if given, must be at least 1.
     """
     if count_override is not None and count_override < 1:
         raise InvalidSpecError(f"count must be at least 1, got {count_override}")
+    if name not in _PRESETS:
+        raise InvalidSpecError(f"unknown preset {name!r}; choose one of {', '.join(PRESETS)}")
+    cells, ns, ks, reps = _PRESETS[name]
     rows: list[DatasetRow] = []
-    if name in ("synthetic-desk", "synthetic-full"):
-        if name == "synthetic-desk":
-            ks, ns, reps = (4, 6, 8), (500,), 25
-        else:
-            ks, ns, reps = (4, 6, 8, 10, 12, 14, 16), (500, 1000, 1500, 2000), 100
-        if count_override is not None:
-            reps = count_override
-        for model in ("ER", "WS", "BA", "GEO"):
-            for n in ns:
-                for k in ks:
-                    for rep in range(reps):
-                        alpha = BA_ALPHAS[rep % len(BA_ALPHAS)] if model == "BA" else None
-                        seed = dataset_seed(base_seed, model, n, k, alpha, rep)
-                        spec = GenSpec(model, n, k, alpha=alpha, seed=seed)
-                        rows.append(DatasetRow(spec, model, rep))
-    elif name in ("scalefree-desk", "scalefree-full"):
-        reps = 20 if name == "scalefree-desk" else 100
-        if count_override is not None:
-            reps = count_override
-        n, k = 1000, 8
-        cells = [("BA", a, f"BA-{a}") for a in BA_ALPHAS] + [("DM", None, "DM")]
-        for model, alpha, label in cells:
-            for rep in range(reps):
-                seed = dataset_seed(base_seed, model, n, k, alpha, rep)
-                spec = GenSpec(model, n, k, alpha=alpha, seed=seed)
-                rows.append(DatasetRow(spec, label, rep))
-    else:
-        raise InvalidSpecError(f"unknown preset {name!r}; choose from {PRESETS}")
+    for (model, alpha, label), n, k, rep in product(cells, ns, ks, range(count_override or reps)):
+        if model == "BA" and alpha is None:
+            alpha = BA_ALPHAS[rep % len(BA_ALPHAS)]
+        seed = dataset_seed(base_seed, model, n, k, alpha, rep)
+        rows.append(DatasetRow(GenSpec(model, n, k, alpha=alpha, seed=seed), label, rep))
     return rows
 
 

@@ -3,10 +3,10 @@
 Everything here is deliberately naive and independent of the package's
 vectorized code paths: plain-Python BFS, explicit shortest-path enumeration
 via path-count products, per-pixel descriptor loops, whole-image moment
-products, pairwise AUC counting, one-draw-at-a-time graph growth.  The
-exceptions read the package's own kernels whole, for the tests to compare:
-``shortest_paths`` stacks the shortest-path kernel's blocks,
-``clbp_whole_image`` codes every pixel with the package's tables,
+products, pairwise AUC counting, one-draw-at-a-time graph growth and
+rewiring.  The exceptions read the package's own kernels whole, for the
+tests to compare: ``shortest_paths`` stacks the shortest-path kernel's
+blocks, ``clbp_whole_image`` codes every pixel with the package's tables,
 ``node_ranking_by_tuples`` sorts on the package's betweenness, and
 ``stratified_folds_by_label`` deals folds from the package's seeded stream.
 """
@@ -342,6 +342,64 @@ def barabasi_albert(spec):
             edges.append((t, target))
             deg[target] += 1
         deg[t] = c
+    return from_edge_list(n, edges)
+
+
+def watts_strogatz(spec):
+    """The WS generator walking every lattice uniform: lane ``j = 1..k/2``
+    outer, node ``i`` inner, each uniform tested in turn and, when it fires
+    on an unsaturated node, integer draws until a new target is found."""
+    from netclass.graph import from_edge_list
+    from netclass.rng import make_rng
+
+    n, half = spec.n, spec.k_bar // 2
+    rng = make_rng(spec.seed)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for j in range(1, half + 1):
+        for i in range(n):
+            nbrs[i].add((i + j) % n)
+            nbrs[(i + j) % n].add(i)
+    trials = rng.random(n * half)
+    t = 0
+    for j in range(1, half + 1):
+        for i in range(n):
+            fire = trials[t] < spec.beta
+            t += 1
+            if not fire or len(nbrs[i]) >= n - 1:
+                continue
+            old = (i + j) % n
+            while True:
+                m = int(rng.integers(0, n))
+                if m != i and m not in nbrs[i]:
+                    break
+            nbrs[i].discard(old)
+            nbrs[old].discard(i)
+            nbrs[i].add(m)
+            nbrs[m].add(i)
+    return from_edge_list(n, [(i, j) for i, s in enumerate(nbrs) for j in s if i < j])
+
+
+def dorogovtsev_mendes(spec):
+    """The DM generator testing each drawn edge index for membership before
+    it keeps it, until ``k_bar / 4`` distinct indices are picked."""
+    from netclass.graph import from_edge_list
+    from netclass.rng import make_rng
+
+    n, m = spec.n, spec.k_bar // 4
+    rng = make_rng(spec.seed)
+    edges = [(0, 1), (0, 2), (1, 2)]
+    for t in range(3, n):
+        picked: set[int] = set()
+        while len(picked) < m:
+            idx = int(rng.integers(0, len(edges)))
+            if idx not in picked:
+                picked.add(idx)
+        linked: set[int] = set()
+        for idx in sorted(picked):
+            for endpoint in edges[idx]:
+                if endpoint not in linked:
+                    linked.add(endpoint)
+                    edges.append((t, endpoint))
     return from_edge_list(n, edges)
 
 

@@ -16,7 +16,7 @@ import warnings
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from netclass import cli
+from netclass import cli, generators
 from netclass.cli import main
 from netclass.generators import MODELS
 from netclass.graph import MAX_DENSE_SIZE
@@ -87,6 +87,30 @@ def test_gen_refuses_a_count_below_one(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"count must be at least 1, got {count}" in err
         assert not out.exists()
+
+
+def test_gen_refuses_an_unknown_preset_with_the_list(tmp_path):
+    out = tmp_path / "data"
+    code, err = run("gen", "--preset", "nope", "--out", out)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "unknown preset 'nope'" in err
+    for name in ("synthetic-desk", "synthetic-full", "scalefree-desk", "scalefree-full"):
+        assert name in err, err
+    assert not out.exists()
+
+
+def test_gen_refuses_an_out_that_is_a_file(tmp_path, monkeypatch):
+    def no_draw(spec):
+        raise AssertionError(f"{spec} was drawn")
+
+    monkeypatch.setattr(generators, "generate", no_draw)
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    code, err = run("gen", "--preset", "scalefree-desk", "--count", 1, "--out", out)
+    assert code == 1 and err == f"error: {out}: is not a directory\n", err
+    assert out.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_non_finite_feature_names_the_line(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -187,6 +188,33 @@ def test_ba_redraws_match_one_draw_reference(monkeypatch):
     assert sum(redrawn) >= len(redrawn) // 10  # about 30% in practice
 
 
+# every lattice size below, with each k_bar smaller than n; n=5 k_bar=4 is
+# the complete graph, where every node is saturated and no fired uniform
+# rewires
+_WS_SPECS = [(n, k, beta) for n in (5, 9, 60, 500) for k in (2, 4, 8) if k < n
+             for beta in (0.0, 0.1, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_ws_matches_lattice_walk_reference(seed):
+    assert len(_WS_SPECS) == 44
+    for n, k, beta in _WS_SPECS:
+        spec = GenSpec("WS", n, k, beta=beta, seed=seed * 1000 + n)
+        g, want = generate(spec), oracles.watts_strogatz(spec)
+        assert np.array_equal(g.indptr, want.indptr), spec
+        assert np.array_equal(g.indices, want.indices), spec
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_dm_matches_membership_test_reference(seed):
+    for n in (3, 4, 100):
+        for k in (4, 8, 12):
+            spec = GenSpec("DM", n, k, seed=seed * 1000 + n)
+            g, want = generate(spec), oracles.dorogovtsev_mendes(spec)
+            assert np.array_equal(g.indptr, want.indptr), spec
+            assert np.array_equal(g.indices, want.indices), spec
+
+
 def test_geo_strict_threshold():
     # dyadic coordinates keep the distance exactly representable
     pts = np.array([[0.125, 0.5], [0.375, 0.5], [0.9, 0.9]])
@@ -333,6 +361,18 @@ def test_preset_row_counts():
     assert len(preset_rows("scalefree-full", 7)) == 500
     with pytest.raises(InvalidSpecError):
         preset_rows("nope", 7)
+
+
+def test_preset_rows_digest():
+    # one SHA-256 over every row of the four presets at seed 7: label,
+    # replicate, spec fields and file name, in row order
+    h = hashlib.sha256()
+    for preset in ("synthetic-desk", "synthetic-full", "scalefree-desk", "scalefree-full"):
+        for row in preset_rows(preset, 7):
+            s = row.spec
+            h.update(repr((row.label, row.replicate, s.model, s.n, s.k_bar, s.alpha, s.beta,
+                           s.seed, row.filename())).encode())
+    assert h.hexdigest() == "41841dace37ad44544ba9c29928430d6944820a07981b7453fb73e9de14f2af2"
 
 
 def test_preset_count_is_at_least_one():

@@ -78,19 +78,22 @@ def dataset(tmp_path_factory):
     return out
 
 
-# what each command loads, in one process with one worker
-BASE = ["netclass.cli", "netclass.features", "netclass.generators", "netclass.graph", "netclass.rng"]
-KERNEL = sorted(BASE + ["netclass.metrics", "netclass.ordering"])
+# what each command loads, in one process with one worker: only gen and
+# features read a preset or a manifest, so only they load the generators
+BASE = ["netclass.cli", "netclass.features", "netclass.graph"]
+DATASET = sorted(BASE + ["netclass.generators", "netclass.rng"])
 COMMANDS = {
     "help": (["--help"], BASE),
-    "gen": (["gen", "--preset", "synthetic-desk", "--count", "1", "--out", "again"], BASE),
-    "render": (["render", "data/ER_500_4_000.edges", "--out", "g.pgm"], KERNEL),
+    "gen": (["gen", "--preset", "synthetic-desk", "--count", "1", "--out", "again"], DATASET),
+    "render": (["render", "data/ER_500_4_000.edges", "--out", "g.pgm"],
+               sorted(BASE + ["netclass.metrics", "netclass.ordering"])),
     "features": (["features", "--manifest", "data/manifest.csv",
-                  "--extractor", "hu", "--out", "hu.csv"], KERNEL),
+                  "--extractor", "hu", "--out", "hu.csv"],
+                 sorted(DATASET + ["netclass.metrics", "netclass.ordering"])),
     "classify-knn": (["classify", "--features", "proj.csv", "--classifier", "knn"],
-                     sorted(BASE + ["netclass.classify"])),
+                     sorted(BASE + ["netclass.classify", "netclass.rng"])),
     "classify-svm": (["classify", "--features", "proj.csv", "--classifier", "svm"],
-                     sorted(BASE + ["netclass.classify"])),
+                     sorted(BASE + ["netclass.classify", "netclass.rng"])),
 }
 
 
